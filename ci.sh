@@ -15,8 +15,9 @@ cargo build --workspace --release
 echo "==> tests"
 cargo test --workspace --quiet
 
-echo "==> SPSC channel smoke (single-threaded runner: producer/consumer get the scheduler)"
-cargo test --quiet -p simcore spsc -- --test-threads=1
+echo "==> query benchmark self-tests (querybench reads RunTally/EngineCounters fields,"
+echo "    so an engine API change that breaks the benchmark's build fails here)"
+cargo test --release --manifest-path querybench/Cargo.toml
 
 echo "==> determinism suite (engine knobs are RunConfig values; A/B tests force both paths)"
 cargo test --quiet -p bench --test determinism
@@ -40,10 +41,10 @@ echo "    10%+50ms gate is too slack to see on sub-100ms Quick timings)"
 cargo run --release -p bench --bin perf -- --quick --json /tmp/BENCH_smoke.json \
     --baseline BENCH_engine.json --assert-serial 0.6
 
-# The parallel-win gate needs real cores: on a 1-core box the forced domain
-# threads time-share one CPU, so the assertion would measure the scheduler,
-# not the engine. (`perf` also self-skips below 2 cores; the guard here keeps
-# the CI log honest about why nothing was asserted.)
+# The parallel-win gate needs real cores: on a 1-core box the forced run has
+# no second stealer, so the assertion would measure nothing parallel. (`perf`
+# also self-skips below 2 cores; the guard here keeps the CI log honest about
+# why nothing was asserted.)
 if [ "$(nproc)" -ge 2 ]; then
     echo "==> parallel-win gate (partitioned subset must not lose to serial)"
     cargo run --release -p bench --bin perf -- --quick --json /tmp/BENCH_parallel.json \

@@ -11,6 +11,10 @@
 
 use std::fmt::Write as _;
 
+/// The largest integer below which `f64` carries every integer exactly:
+/// 2^53.
+const EXACT_F64_INT: u64 = 1 << 53;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -21,6 +25,10 @@ pub enum Value {
     /// Any JSON number (stored as `f64`; integral values print without a
     /// fractional part).
     Num(f64),
+    /// An unsigned integer above 2^53, where `f64` stops carrying every
+    /// integer exactly (seeds, digests). Smaller integers stay `Num`, so
+    /// values built from either kind of source compare equal.
+    UInt(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -65,6 +73,7 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            Value::UInt(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -73,9 +82,10 @@ impl Value {
     /// non-negative).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= EXACT_F64_INT as f64 => {
                 Some(*n as u64)
             }
+            Value::UInt(n) => Some(*n),
             _ => None,
         }
     }
@@ -116,6 +126,9 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => write_number(out, *n),
+            Value::UInt(n) => {
+                let _ = write!(out, "{n}");
+            }
             Value::Str(s) => write_escaped(out, s),
             Value::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
                 items[i].write(out, indent, depth + 1);
@@ -165,7 +178,11 @@ impl From<f64> for Value {
 
 impl From<u64> for Value {
     fn from(n: u64) -> Value {
-        Value::Num(n as f64)
+        if n > EXACT_F64_INT {
+            Value::UInt(n)
+        } else {
+            Value::Num(n as f64)
+        }
     }
 }
 
@@ -177,7 +194,7 @@ impl From<u32> for Value {
 
 impl From<usize> for Value {
     fn from(n: usize) -> Value {
-        Value::Num(n as f64)
+        Value::from(n as u64)
     }
 }
 
@@ -428,6 +445,15 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // Plain integers beyond the exact-f64 range (16+ digits) keep every
+        // digit.
+        if text.len() >= 16 && text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse::<u64>() {
+                if n > EXACT_F64_INT {
+                    return Ok(Value::UInt(n));
+                }
+            }
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("invalid number"))
@@ -437,6 +463,21 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn u64_integers_round_trip_exactly() {
+        for n in [(1u64 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let printed = Value::from(n).to_compact();
+            assert_eq!(printed, n.to_string());
+            let back = Value::parse(&printed).unwrap();
+            assert_eq!(back.as_u64(), Some(n), "{printed}");
+            assert_eq!(back, Value::from(n));
+        }
+        // Beyond u64 a literal is an ordinary (rounded) float again.
+        let huge = Value::parse("18446744073709551616").unwrap();
+        assert_eq!(huge.as_u64(), None);
+        assert_eq!(huge.as_f64(), Some(18_446_744_073_709_551_616.0));
+    }
 
     #[test]
     fn parses_and_reprints() {

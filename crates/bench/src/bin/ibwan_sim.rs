@@ -15,7 +15,9 @@
 //! All flags are parsed into one [`RunConfig`] before any scenario runs —
 //! flag order never matters, and `--serial`/`--no-coalescing` are plain
 //! config fields (results are identical either way; timing A/B only).
-//! Unknown or duplicate flags exit 2.
+//! Unknown or duplicate flags exit 2, and so does a scenario file that
+//! cannot be read, parsed, or validated (the error names the file and the
+//! offending field).
 
 use ibwan_core::runner;
 use ibwan_core::scenario::{example_scenario, Scenario};
@@ -101,10 +103,15 @@ fn main() {
 
     let mut results = Vec::new();
     for file in &files {
-        let text =
-            std::fs::read_to_string(file).unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
-        let scenario =
-            Scenario::from_json(&text).unwrap_or_else(|e| panic!("cannot parse {file}: {e}"));
+        let scenario = std::fs::read_to_string(file)
+            .map_err(|e| format!("cannot read {file}: {e}"))
+            .and_then(|text| {
+                Scenario::from_json(&text).map_err(|e| format!("invalid scenario {file}: {e}"))
+            })
+            .unwrap_or_else(|e| {
+                eprintln!("ibwan-sim: {e}");
+                std::process::exit(2);
+            });
         let variants: Vec<Scenario> = if sweep {
             ibwan_core::PAPER_DELAYS_US
                 .iter()

@@ -34,7 +34,7 @@
 //! `secs` field the baseline gate compares — it isolates single-thread
 //! engine regressions from scheduling noise — while `secs_parallel` and
 //! `parallel_speedup` track what the domain engine buys on this machine
-//! (nothing on a 1-core box, where two domain threads time-share one CPU).
+//! (nothing on a 1-core box, where the forced run has a single stealer).
 //! Per-experiment domain stats (`domains`, `sync_rounds`,
 //! `events_per_domain`) and the fragment-coalescing tally (trains emitted,
 //! fragments that rode inside a train, the event-reduction ratio) come from
@@ -66,12 +66,11 @@ struct Timing {
     hosts: u64,
     /// Widest domain split the forced run produced (0 = no plan, ran serial).
     domains: u64,
-    /// Blocking window-synchronization rounds across one forced run.
+    /// Stealer waits (nothing runnable) across one forced run.
     sync_rounds: u64,
-    /// Windows advanced without blocking on a neighbor (batched-horizon
-    /// wins) across one forced run.
+    /// Windows a stealer took without waiting first, across one forced run.
     sync_rounds_saved: u64,
-    /// Nanoseconds domain threads spent parked at window barriers.
+    /// Nanoseconds stealers spent waiting for a runnable domain.
     barrier_ns: u64,
     /// Events dispatched per domain index in one forced run.
     events_per_domain: Vec<u64>,
@@ -201,10 +200,9 @@ fn main() {
             Fidelity::Full => 1,
         });
         // Serial columns first, for the whole subset: these are the
-        // baseline-gated numbers, and the forced-partition reps oversubscribe
-        // the machine (two domain threads per core on small boxes), so
-        // running them earlier would contaminate the serial samples that
-        // follow.
+        // baseline-gated numbers, and keeping the forced-partition reps (and
+        // any helper threads they spawn) out of their way keeps the serial
+        // samples clean.
         let mut serial_cols = Vec::new();
         for e in &subset {
             let mut serial_samples = Vec::new();
@@ -254,7 +252,7 @@ fn main() {
             eprintln!(
                 "{:8} {fidelity:?}: serial {secs:.3}s, parallel {secs_parallel:.3}s \
                  ({parallel_speedup:.2}x, median of {reps}), hosts={} domains={} \
-                 sync_rounds={} (saved {}, {:.1} ms parked), \
+                 sync_rounds={} (saved {}, {:.1} ms waited), \
                  coalescing {:.1}% ({trains}+{ctl_trains} trains, \
                  {frags}+{ctl_frags} frags), \
                  {ns_per_event:.0} ns/event over {events} events \
@@ -507,15 +505,14 @@ fn assert_serial_gate(timings: &[Timing], fidelity: Fidelity, base_total: Option
 
 /// `--assert-parallel` gate: every subset entry that actually partitioned
 /// must reach `parallel_speedup >= min`. With fewer than 2 cores free the
-/// forced run time-shares one CPU (or drops to the cooperative executor),
-/// so the assertion is skipped with a message rather than failed — CI can
-/// invoke the flag unconditionally.
+/// forced run has a single stealer, so the assertion is skipped with a
+/// message rather than failed — CI can invoke the flag unconditionally.
 fn assert_parallel_gate(timings: &[Timing], min: f64) {
     let budget = simcore::domain::spawn_budget();
     if budget < 2 {
         eprintln!(
             "--assert-parallel {min}: skipped (thread budget {budget} < 2; \
-             domain threads would time-share one core)"
+             a forced run would have one stealer)"
         );
         return;
     }

@@ -3,17 +3,20 @@
 //! The probe decides serial vs. partitioned from a short serial prefix:
 //! cross-domain traffic share, per-domain load balance, and event density
 //! per lookahead window. These tests pin the decision for the fig13a
-//! event profile, where ACK-run coalescing thinned the stream to the point
-//! that partitioning measured a 0.99× "speedup" — the gate must decline it,
-//! while the same workload run per-fragment (dense, balanced) must still
-//! partition. Each leg runs on the test thread under a pretend 8-core
-//! budget so the probe itself — not the machine — makes the call.
+//! event profile — a point-to-point WAN stream that crosses the cut on
+//! roughly one event in five, coalesced or per-fragment, and ran slower
+//! partitioned — and for NAS collectives, whose ranks mostly talk inside
+//! their own cluster and which ran faster partitioned. Each leg runs on the
+//! test thread under a pretend 8-core budget so the probe itself — not the
+//! machine — makes the call.
 
 use ibfabric::fabric::{reset_run_tally, run_tally, EngineProfile, RunTally};
 use ibfabric::perftest::{rc_qp_pair, BwConfig, BwPeer};
 use ibfabric::qp::QpConfig;
 use ibwan_core::topo::build_pair;
 use ibwan_core::{RunConfig, TopoSpec};
+use mpisim::world::JobSpec;
+use nasbench::NasBenchmark;
 use nfssim::{run_read_experiment, NfsSetup, Transport};
 use simcore::domain::set_test_assume_cores;
 use simcore::Dur;
@@ -42,8 +45,7 @@ fn nfs_wan_tally(threads: usize, coalescing: bool) -> RunTally {
 
 /// Coalesced fig13a points must run serially: the single-stream point is
 /// lopsided (the server fans RDMA writes to a thin client — Amdahl's bound
-/// caps the win below barrier cost) and the 8-stream point is too sparse
-/// (~16 events per domain per lookahead window) to amortize window syncs.
+/// caps the win below the handoff cost) and both cross the cut too often.
 #[test]
 fn auto_declines_partitioning_for_coalesced_nfs_wan_points() {
     let _cores = CoresGuard;
@@ -58,18 +60,37 @@ fn auto_declines_partitioning_for_coalesced_nfs_wan_points() {
     }
 }
 
-/// The same workload per-fragment is dense and balanced — the gate must
-/// still accept it, proving the decline above keys on the event profile,
-/// not the topology.
+/// The same workload per-fragment is dense and balanced, but every fifth
+/// event still crosses the cut: the cross-share ceiling declines it too,
+/// so the decline keys on the traffic shape, not on coalescing.
 #[test]
-fn auto_accepts_partitioning_for_dense_per_fragment_nfs_wan_point() {
+fn auto_declines_partitioning_for_per_fragment_nfs_wan_point() {
     let _cores = CoresGuard;
     set_test_assume_cores(8);
     let t = nfs_wan_tally(8, false);
     assert_eq!(
         (t.serial_runs, t.partitioned_runs),
-        (0, 1),
-        "per-fragment fig13a point must still partition: {t:?}"
+        (1, 0),
+        "per-fragment fig13a point must decline partitioning: {t:?}"
+    );
+}
+
+/// NAS IS at 8+8 ranks over a 10 ms WAN: a deep, balanced, mostly
+/// cluster-local all-to-all — the profile partitioning wins on — so the
+/// gate must accept it, proving the declines above key on the event
+/// profile, not the topology.
+#[test]
+fn auto_accepts_partitioning_for_nas_collectives() {
+    let _cores = CoresGuard;
+    set_test_assume_cores(8);
+    reset_run_tally();
+    let spec = JobSpec::two_clusters(8, 8, Dur::from_ms(10));
+    let r = nasbench::run_spec(NasBenchmark::Is, spec);
+    assert!(r.time_secs > 0.0);
+    let t = run_tally();
+    assert!(
+        t.partitioned_runs >= 1 && t.serial_runs == 0,
+        "NAS IS 8+8 at 10 ms must partition: {t:?}"
     );
 }
 

@@ -62,27 +62,39 @@ fn assert_coalescing_invisible(id: &str) {
 /// Run a catalog experiment on the serial engine and on the partitioned
 /// engine (Force) and demand bit-identical output: domain partitioning is a
 /// pure wall-clock optimization, so every table cell and JSON byte must
-/// survive the A/B flip — the same contract coalescing holds to.
+/// survive the A/B flip — the same contract coalescing holds to. The
+/// partitioned legs run on one sweep worker with 1, 2, and 4 stealers (the
+/// sweep pool honors the thread's core override) and the executor's start
+/// jitter on, so their window boundaries and interleavings all differ.
 fn assert_partitioning_invisible(id: &str) {
+    use simcore::domain::{set_test_assume_cores, set_test_start_jitter_us};
+
     let e = find(id).unwrap_or_else(|| panic!("experiment {id} missing from catalog"));
     let serial = (e.run)(&RunConfig {
         partition: PartitionMode::Off,
         ..RunConfig::default()
     });
-    let partitioned = (e.run)(&RunConfig {
-        partition: PartitionMode::Force,
-        ..RunConfig::default()
-    });
-    assert_eq!(
-        serial.to_table(),
-        partitioned.to_table(),
-        "{id}: table changed on the partitioned engine"
-    );
-    assert_eq!(
-        serial.to_json(),
-        partitioned.to_json(),
-        "{id}: JSON changed on the partitioned engine"
-    );
+    for stealers in [1usize, 2, 4] {
+        set_test_assume_cores(stealers);
+        set_test_start_jitter_us(50 * stealers as u64);
+        let partitioned = (e.run)(&RunConfig {
+            partition: PartitionMode::Force,
+            workers: Some(1),
+            ..RunConfig::default()
+        });
+        set_test_start_jitter_us(0);
+        set_test_assume_cores(0);
+        assert_eq!(
+            serial.to_table(),
+            partitioned.to_table(),
+            "{id}: table changed on the partitioned engine at {stealers} stealers"
+        );
+        assert_eq!(
+            serial.to_json(),
+            partitioned.to_json(),
+            "{id}: JSON changed on the partitioned engine at {stealers} stealers"
+        );
+    }
 }
 
 #[test]
@@ -158,6 +170,13 @@ fn nfs_figure_is_identical_serial_and_partitioned() {
     assert_partitioning_invisible("fig13a");
 }
 
+/// The 3-site chain plans three domains: fewer stealers than domains (and
+/// more) must replay it bit-identically too.
+#[test]
+fn three_domain_chain_is_identical_serial_and_partitioned() {
+    assert_partitioning_invisible("topoA-3site-bw");
+}
+
 /// The seed offset must shift the whole run onto a different deterministic
 /// trajectory — and back: offset 0 is the identity.
 #[test]
@@ -186,9 +205,10 @@ fn seed_offset_is_deterministic_and_zero_is_identity() {
     );
 }
 
-/// Determinism must come from the window protocol, not from lucky thread
-/// scheduling: stagger each domain thread's start by increasingly hostile
-/// offsets and demand the bit-identical figure every time.
+/// Determinism must come from the arrival keys, not from lucky thread
+/// scheduling: stagger each stealer's start (and rotate its picks) by
+/// increasingly hostile offsets and demand the bit-identical figure every
+/// time.
 #[test]
 fn partitioned_schedule_survives_thread_start_jitter() {
     use simcore::domain::set_test_start_jitter_us;

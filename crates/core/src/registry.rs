@@ -30,12 +30,6 @@ pub struct Experiment {
     /// fidelity). The runner schedules expensive entries first so the
     /// slowest job never starts last.
     pub cost: u32,
-    /// Engine threads one run of this experiment may occupy: the widest
-    /// domain split its fabrics can produce (2 for the paper's two-cluster
-    /// WAN topologies, 1 for fabric-free tables). The runner debits this
-    /// against the worker pool so partitioned jobs never oversubscribe the
-    /// machine with domain threads.
-    pub engine_threads: usize,
     /// Regenerate the figure under the given run configuration.
     pub run: fn(&RunConfig) -> Figure,
     /// Optional shape check: cheap structural invariants (series count,
@@ -91,7 +85,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Table 1",
             axes: &["distance (km)"],
             cost: 1,
-            engine_threads: 1,
             run: |_cfg| verbs::table1(),
             check: Some(|f| expect_series(f, 1)),
         },
@@ -101,7 +94,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 3",
             axes: &["msg size", "transport"],
             cost: 2,
-            engine_threads: 2,
             run: verbs::fig3_latency,
             check: Some(finite_nonnegative),
         },
@@ -111,7 +103,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 4(a)",
             axes: &["msg size", "delay"],
             cost: 4,
-            engine_threads: 2,
             run: |cfg| verbs::fig4_ud_bandwidth(cfg, false),
             check: Some(finite_nonnegative),
         },
@@ -121,7 +112,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 4(b)",
             axes: &["msg size", "delay"],
             cost: 4,
-            engine_threads: 2,
             run: |cfg| verbs::fig4_ud_bandwidth(cfg, true),
             check: Some(finite_nonnegative),
         },
@@ -131,7 +121,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 5(a)",
             axes: &["msg size", "delay"],
             cost: 4,
-            engine_threads: 2,
             run: |cfg| verbs::fig5_rc_bandwidth(cfg, false),
             check: Some(finite_nonnegative),
         },
@@ -141,7 +130,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 5(b)",
             axes: &["msg size", "delay"],
             cost: 4,
-            engine_threads: 2,
             run: |cfg| verbs::fig5_rc_bandwidth(cfg, true),
             check: Some(finite_nonnegative),
         },
@@ -151,7 +139,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 6(a)",
             axes: &["TCP window", "delay"],
             cost: 6,
-            engine_threads: 2,
             run: |cfg| ipoib_exp::fig6_ipoib_ud(cfg, false),
             check: Some(finite_nonnegative),
         },
@@ -161,7 +148,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 6(b)",
             axes: &["streams", "delay"],
             cost: 6,
-            engine_threads: 2,
             run: |cfg| ipoib_exp::fig6_ipoib_ud(cfg, true),
             check: Some(finite_nonnegative),
         },
@@ -171,7 +157,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 7(a)",
             axes: &["TCP window", "delay"],
             cost: 6,
-            engine_threads: 2,
             run: |cfg| ipoib_exp::fig7_ipoib_rc(cfg, false),
             check: Some(finite_nonnegative),
         },
@@ -181,7 +166,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 7(b)",
             axes: &["streams", "delay"],
             cost: 6,
-            engine_threads: 2,
             run: |cfg| ipoib_exp::fig7_ipoib_rc(cfg, true),
             check: Some(finite_nonnegative),
         },
@@ -191,7 +175,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 8(a)",
             axes: &["msg size", "delay"],
             cost: 8,
-            engine_threads: 2,
             run: |cfg| mpi_exp::fig8_mpi_bandwidth(cfg, false),
             check: Some(finite_nonnegative),
         },
@@ -201,7 +184,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 8(b)",
             axes: &["msg size", "delay"],
             cost: 8,
-            engine_threads: 2,
             run: |cfg| mpi_exp::fig8_mpi_bandwidth(cfg, true),
             check: Some(finite_nonnegative),
         },
@@ -211,7 +193,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 9(a)",
             axes: &["msg size", "rndv threshold"],
             cost: 8,
-            engine_threads: 2,
             run: |cfg| mpi_exp::fig9_threshold_tuning(cfg, false),
             check: Some(finite_nonnegative),
         },
@@ -221,7 +202,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 9(b)",
             axes: &["msg size", "rndv threshold"],
             cost: 8,
-            engine_threads: 2,
             run: |cfg| mpi_exp::fig9_threshold_tuning(cfg, true),
             check: Some(finite_nonnegative),
         },
@@ -231,7 +211,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 10(a)",
             axes: &["pairs", "msg size"],
             cost: 10,
-            engine_threads: 2,
             run: |cfg| mpi_exp::fig10_message_rate(cfg, 10),
             check: Some(finite_nonnegative),
         },
@@ -241,7 +220,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 10(b)",
             axes: &["pairs", "msg size"],
             cost: 10,
-            engine_threads: 2,
             run: |cfg| mpi_exp::fig10_message_rate(cfg, 1000),
             check: Some(finite_nonnegative),
         },
@@ -251,7 +229,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 10(c)",
             axes: &["pairs", "msg size"],
             cost: 10,
-            engine_threads: 2,
             run: |cfg| mpi_exp::fig10_message_rate(cfg, 10000),
             check: Some(finite_nonnegative),
         },
@@ -261,7 +238,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 11(a)",
             axes: &["msg size", "algorithm"],
             cost: 6,
-            engine_threads: 2,
             run: |cfg| mpi_exp::fig11_bcast(cfg, 10),
             check: Some(|f| expect_series(f, 2)),
         },
@@ -271,7 +247,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 11(b)",
             axes: &["msg size", "algorithm"],
             cost: 6,
-            engine_threads: 2,
             run: |cfg| mpi_exp::fig11_bcast(cfg, 100),
             check: Some(|f| expect_series(f, 2)),
         },
@@ -281,7 +256,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 11(c)",
             axes: &["msg size", "algorithm"],
             cost: 6,
-            engine_threads: 2,
             run: |cfg| mpi_exp::fig11_bcast(cfg, 1000),
             check: Some(|f| expect_series(f, 2)),
         },
@@ -291,7 +265,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 12",
             axes: &["benchmark", "delay"],
             cost: 12,
-            engine_threads: 2,
             run: nas_exp::fig12_nas,
             check: Some(finite_nonnegative),
         },
@@ -301,7 +274,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 13(a)",
             axes: &["threads", "delay"],
             cost: 10,
-            engine_threads: 2,
             run: nfs_exp::fig13a_nfs_rdma,
             check: Some(finite_nonnegative),
         },
@@ -311,7 +283,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 13(b)",
             axes: &["threads", "transport"],
             cost: 10,
-            engine_threads: 2,
             run: |cfg| nfs_exp::fig13_transport_comparison(cfg, 100),
             check: Some(finite_nonnegative),
         },
@@ -321,7 +292,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Figure 13(c)",
             axes: &["threads", "transport"],
             cost: 10,
-            engine_threads: 2,
             run: |cfg| nfs_exp::fig13_transport_comparison(cfg, 1000),
             check: Some(finite_nonnegative),
         },
@@ -332,7 +302,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Section 5.4 (unplotted)",
             axes: &["threads", "delay"],
             cost: 10,
-            engine_threads: 2,
             run: ext_exp::ext_nfs_write,
             check: Some(finite_nonnegative),
         },
@@ -342,7 +311,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Section 5.3 (implied)",
             axes: &["msg size", "protocol"],
             cost: 6,
-            engine_threads: 2,
             run: ext_exp::ext_rndv_protocols,
             check: Some(|f| expect_series(f, 3)),
         },
@@ -352,7 +320,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Section 6 (future work)",
             axes: &["msg size", "algorithm"],
             cost: 6,
-            engine_threads: 2,
             run: ext_exp::ext_hierarchical_allreduce,
             check: Some(|f| expect_series(f, 2)),
         },
@@ -362,7 +329,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Section 3 (implied)",
             axes: &["delay", "credits"],
             cost: 4,
-            engine_threads: 2,
             run: ext_exp::ext_longbow_credits,
             check: Some(finite_nonnegative),
         },
@@ -372,7 +338,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Section 2 (related work)",
             axes: &["msg size", "transport"],
             cost: 6,
-            engine_threads: 2,
             run: ext_exp::ext_sdp_vs_ipoib,
             check: Some(finite_nonnegative),
         },
@@ -382,7 +347,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "Section 6 (future work)",
             axes: &["stripe width", "delay"],
             cost: 8,
-            engine_threads: 2,
             run: ext_exp::ext_pfs_striping,
             check: Some(finite_nonnegative),
         },
@@ -393,7 +357,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "TopoSpec smoke (beyond the paper)",
             axes: &["delay", "msg size"],
             cost: 4,
-            engine_threads: 3,
             run: topo_exp::topo_a_3site_bw,
             check: Some(|f| expect_series(f, 2)),
         },
@@ -403,7 +366,6 @@ pub fn catalog() -> Vec<Experiment> {
             paper_ref: "TopoSpec smoke (beyond the paper)",
             axes: &["msg size", "delay"],
             cost: 4,
-            engine_threads: 2,
             run: topo_exp::topo_b_fattree_alltoall,
             check: Some(|f| expect_series(f, 2)),
         },

@@ -174,9 +174,9 @@ pub fn run_scenario(
 /// last), but results come back in input order. `progress` is called once
 /// per completed experiment with a one-line summary — binaries stream it
 /// to stderr so `--json`/stdout output stays machine-readable. The pool is
-/// budgeted exactly like [`crate::sweep::parallel_map`]: workers × engine
-/// threads per job ≤ available cores, shrunk by any enclosing pool's claim
-/// and capped by `cfg.workers`. Worker panics re-raise the first payload
+/// budgeted exactly like [`crate::sweep::parallel_map`]: one worker per
+/// available core, shrunk by any enclosing pool's claim and capped by
+/// `cfg.workers`. Worker panics re-raise the first payload
 /// in the caller after every worker joins.
 pub fn run_jobs<F>(jobs: Vec<Experiment>, cfg: &RunConfig, progress: F) -> Vec<RunOutcome>
 where
@@ -190,25 +190,12 @@ where
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cost));
 
-    let avail = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let avail = avail
+    let avail = simcore::domain::available_cores()
         .saturating_sub(simcore::domain::external_workers())
         .max(1);
-    // Threads one job may occupy: the widest engine split declared by any
-    // job in the set ([`Experiment::engine_threads`]), debited *before*
-    // siblings are claimed so a >2-domain job can never oversubscribe the
-    // machine with domain threads. Serial configs pin every job to one.
-    let per_job = match cfg.partition {
-        crate::config::PartitionMode::Off => 1,
-        _ => jobs
-            .iter()
-            .map(|j| j.engine_threads.max(1))
-            .max()
-            .unwrap_or(1),
-    };
-    let mut workers = (avail / per_job).max(1).min(n);
+    // One worker per core: a partitioned job runs on any number of stealers,
+    // so it only gets what the pool leaves spare.
+    let mut workers = avail.min(n);
     if let Some(cap) = cfg.workers {
         workers = workers.min(cap.max(1));
     }
@@ -216,8 +203,8 @@ where
     // Each worker owns an equal share of the claimed cores; granting the
     // share as a thread allowance makes nested partition decisions
     // (`simcore::domain::spawn_budget`) see it instead of the whole
-    // machine. On a 1-core box the share is 1, so partitioned jobs fall
-    // back to the cooperative executor rather than spawning threads.
+    // machine. With at least as many jobs as cores the share is 1, so a
+    // partitioned job runs on its worker thread alone.
     let allowance = (avail / workers).max(1);
 
     let results: Vec<Mutex<Option<RunOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();

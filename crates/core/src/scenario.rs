@@ -326,10 +326,15 @@ impl Workload {
                 window: num("window")? as u32,
                 iters: num("iters")? as u32,
             }),
-            "nas" => Ok(Workload::Nas {
-                benchmark: text("benchmark")?,
-                ranks_per_cluster: num("ranks_per_cluster")? as usize,
-            }),
+            "nas" => {
+                let benchmark = text("benchmark")?;
+                let ranks_per_cluster = num("ranks_per_cluster")? as usize;
+                check_nas_ranks(&benchmark, ranks_per_cluster)?;
+                Ok(Workload::Nas {
+                    benchmark,
+                    ranks_per_cluster,
+                })
+            }
             "mpi_pattern" => Ok(Workload::MpiPattern {
                 ranks_per_cluster: num("ranks_per_cluster")? as usize,
                 spec: mpisim::patterns::Pattern::from_value(
@@ -345,6 +350,31 @@ impl Workload {
             other => Err(format!("unknown workload kind {other:?}")),
         }
     }
+}
+
+/// Reject NAS jobs the model cannot run: unknown kernels, rank totals
+/// (`2 × ranks_per_cluster`) that are not a power of two — the collectives
+/// use recursive doubling and binomial trees — and, for CG, totals that are
+/// not a square process grid.
+fn check_nas_ranks(benchmark: &str, ranks_per_cluster: usize) -> Result<(), String> {
+    if !matches!(benchmark, "is" | "ft" | "cg" | "ep" | "mg") {
+        return Err(format!("workload: unknown NAS benchmark {benchmark:?}"));
+    }
+    let total = 2 * ranks_per_cluster;
+    if !total.is_power_of_two() {
+        return Err(format!(
+            "workload: NAS {benchmark} needs a power-of-two rank total, \
+             got ranks_per_cluster {ranks_per_cluster} ({total} ranks)"
+        ));
+    }
+    let side = (total as f64).sqrt() as usize;
+    if benchmark == "cg" && side * side != total {
+        return Err(format!(
+            "workload: NAS cg needs a square rank total, \
+             got ranks_per_cluster {ranks_per_cluster} ({total} ranks)"
+        ));
+    }
+    Ok(())
 }
 
 /// A complete runnable experiment description.
@@ -998,6 +1028,30 @@ mod tests {
                 r#"{ "kind": "mpi_pattern", "ranks_per_cluster": 4, "spec": { "pattern": "moebius" } }"#,
                 "moebius",
             ),
+            // CG needs a square process grid: 16+16 is 32 ranks.
+            (
+                r#"{ "kind": "nas", "benchmark": "cg", "ranks_per_cluster": 16 }"#,
+                "square",
+            ),
+            // Every NAS kernel needs a power-of-two total: 6+6 is 12 ranks.
+            (
+                r#"{ "kind": "nas", "benchmark": "is", "ranks_per_cluster": 6 }"#,
+                "power-of-two",
+            ),
+            (
+                r#"{ "kind": "nas", "benchmark": "ft", "ranks_per_cluster": 3 }"#,
+                "power-of-two",
+            ),
+            // An empty job has no power-of-two total either.
+            (
+                r#"{ "kind": "nas", "benchmark": "cg", "ranks_per_cluster": 0 }"#,
+                "ranks_per_cluster",
+            ),
+            // Unknown kernels are named, not discovered by `run`.
+            (
+                r#"{ "kind": "nas", "benchmark": "lu", "ranks_per_cluster": 4 }"#,
+                "lu",
+            ),
         ];
         for (json, expect) in cases {
             let v = minijson::Value::parse(json).expect("test JSON must parse");
@@ -1026,6 +1080,12 @@ mod tests {
             .contains("topology"));
         let bad_seed = r#"{ "name": "x", "seed": "abc", "topology": {}, "workload": { "kind": "mpi_latency", "size": 4, "iters": 5 } }"#;
         assert!(Scenario::from_json(bad_seed).unwrap_err().contains("seed"));
+        let cg_16x2 = r#"{ "name": "x", "topology": {}, "workload": { "kind": "nas", "benchmark": "cg", "ranks_per_cluster": 16 } }"#;
+        assert!(Scenario::from_json(cg_16x2).unwrap_err().contains("square"));
+        let is_6x2 = r#"{ "name": "x", "topology": {}, "workload": { "kind": "nas", "benchmark": "is", "ranks_per_cluster": 6 } }"#;
+        assert!(Scenario::from_json(is_6x2)
+            .unwrap_err()
+            .contains("power-of-two"));
         assert!(Scenario::from_json("not json at all").is_err());
     }
 

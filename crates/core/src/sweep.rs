@@ -1,12 +1,13 @@
 //! Parallel parameter sweeps: simulations are deterministic and independent
 //! per configuration, so sweeps fan out across a bounded worker pool.
 //!
-//! A single configuration may itself run on the partitioned domain engine
-//! (two threads for the paper's two-cluster topologies), so the pool divides
-//! the machine between *sweep* parallelism and *engine* parallelism instead
-//! of multiplying them: workers × threads-per-job ≤ available cores.
+//! A single configuration may itself run on the partitioned domain engine,
+//! whose work-stealing executor runs any number of domains on any number of
+//! threads. Independent points scale better than domains do, so the pool
+//! takes one worker per core first and grants each job only its share of
+//! what is left: workers × threads-per-job ≤ available cores.
 
-use crate::config::{PartitionMode, RunConfig};
+use crate::config::RunConfig;
 use ibfabric::fabric::{self, RunTally};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -15,12 +16,12 @@ use std::sync::Mutex;
 ///
 /// Runs on a bounded pool of scoped worker threads that self-schedule
 /// inputs from a shared index — large sweeps no longer spawn one OS thread
-/// per configuration. The pool size is `available_parallelism` divided by
-/// the threads one job may use: when the config's [`PartitionMode`] leaves
-/// the partitioned engine eligible, each job is budgeted the paper's two
-/// cluster domains, halving the worker count rather than oversubscribing
-/// every core with domain threads; `cfg.workers` caps the pool further. The
-/// workers register themselves via
+/// per configuration. The pool takes one worker per available core (never
+/// more than there are inputs), whatever the config's `PartitionMode`: a
+/// partitioned job needs no threads of its own, so each worker's job is
+/// granted its equal share of the cores as a thread allowance, which is
+/// one stealer whenever the sweep is at least as wide as the machine;
+/// `cfg.workers` caps the pool further. The workers register themselves via
 /// [`simcore::domain::register_external_workers`] so nested `Fabric::run`
 /// auto-partition decisions see how much of the machine the sweep already
 /// claims, and workers already claimed by an *enclosing* pool (the
@@ -41,31 +42,25 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let avail = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    // The machine's cores, or the calling thread's test override of them.
+    let avail = simcore::domain::available_cores();
     // Cores not already claimed by an enclosing pool (floor of one so
     // narrow machines still make progress).
     let avail = avail
         .saturating_sub(simcore::domain::external_workers())
         .max(1);
-    // Threads each job may consume: 2 domain threads for the paper's
-    // two-cluster WAN splits unless this config pins the engine serial.
-    // (Jobs whose fabric has no domain plan still run serially; this only
-    // budgets the worst case.)
-    let per_job = match cfg.partition {
-        PartitionMode::Off => 1,
-        _ => 2,
-    };
-    let mut workers = worker_budget(avail, per_job, n);
+    // One worker per core: independent points scale perfectly, while a
+    // partitioned job runs on any number of stealers (one included), so it
+    // only gets the cores the sweep leaves spare.
+    let mut workers = worker_budget(avail, n);
     if let Some(cap) = cfg.workers {
         workers = workers.min(cap.max(1));
     }
     let _external = simcore::domain::register_external_workers(workers);
     // Each worker's equal share of the claimed cores, granted as a thread
     // allowance so nested partition decisions (`spawn_budget`) see the
-    // share, not the machine. On 1 core the share is 1: partitioned jobs
-    // run on the cooperative executor instead of spawning threads.
+    // share, not the machine. With at least as many points as cores the
+    // share is 1: partitioned jobs run on their calling thread alone.
     let allowance = (avail / workers).max(1);
 
     // Each input slot is claimed exactly once via the shared counter; the
@@ -118,12 +113,11 @@ where
         .collect()
 }
 
-/// Sweep workers for a machine with `avail` cores when each job may use
-/// `per_job` threads and there are `n` inputs: total threads stay within
-/// `avail` (never oversubscribing with nested domain engines), with a floor
-/// of one worker so narrow machines still make progress.
-fn worker_budget(avail: usize, per_job: usize, n: usize) -> usize {
-    (avail / per_job).max(1).min(n)
+/// Sweep workers for a machine with `avail` cores and `n` inputs: one per
+/// core, never more than there are inputs, with a floor of one worker so
+/// narrow machines still make progress.
+fn worker_budget(avail: usize, n: usize) -> usize {
+    avail.min(n).max(1)
 }
 
 #[cfg(test)]
@@ -131,11 +125,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn budget_divides_cores_between_sweep_and_engine() {
-        assert_eq!(worker_budget(8, 2, 100), 4, "8 cores / 2-thread jobs");
-        assert_eq!(worker_budget(8, 1, 100), 8, "serial jobs use every core");
-        assert_eq!(worker_budget(1, 2, 100), 1, "floor of one worker");
-        assert_eq!(worker_budget(16, 2, 3), 3, "never more workers than jobs");
+    fn budget_takes_one_worker_per_core() {
+        assert_eq!(worker_budget(8, 100), 8, "every core sweeps");
+        assert_eq!(worker_budget(1, 100), 1, "floor of one worker");
+        assert_eq!(worker_budget(16, 3), 3, "never more workers than jobs");
     }
 
     #[test]

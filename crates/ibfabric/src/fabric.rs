@@ -110,27 +110,33 @@ pub const AUTO_PROBE_EVENTS: u64 = 4096;
 pub const AUTO_PROBE_SLICES: u32 = 4;
 
 /// Auto partitions only when at most this fraction of probed events crossed
-/// the domain cut: staging, channel transfer, and wire-tail bookkeeping tax
-/// every crossing, so a cut that most traffic straddles parallelizes badly.
-const AUTO_MAX_CROSS_SHARE: f64 = 0.25;
+/// the domain cut: staging, delivery, and wire-tail bookkeeping tax every
+/// crossing. Point-to-point WAN streams (message rate, MPI bandwidth, IPoIB,
+/// NFS; per-fragment or coalesced) cross on 1 event in 4–8 (probed share
+/// 0.13–0.25) and ran 4–25% slower partitioned than serial per query class
+/// on 2 cores; NAS and the ring/halo patterns cross on under 1 in 8 and won
+/// up to 1.5× (measured over the `querybench` streams, best of 3 per query).
+const AUTO_MAX_CROSS_SHARE: f64 = 0.13;
 
 /// Auto partitions only when the probed prefix averaged at least this many
 /// events per domain per minimum-lookahead window — the work a window must
 /// hold for batching to amortize its synchronization. Calibrated for the
 /// coalesced event stream: one dispatched event costs ~100 ns while a
-/// window sync costs a few µs of channel traffic, so a window needs tens of
-/// events before partitioning pays. (ACK-run coalescing thinned
+/// window handoff between stealers costs a few µs, so a window needs tens
+/// of events before partitioning pays. (ACK-run coalescing thinned
 /// message-rate workloads like fig13a to ~16 events/window — measured
 /// parallel speedup 0.99, i.e. a wash — which this floor now declines.)
 const AUTO_MIN_WINDOW_EVENTS: f64 = 24.0;
 
 /// Auto partitions only when the busiest domain held at most this share of
 /// the probed events. Amdahl's bound: a partitioned run can never beat the
-/// busiest domain, so at 75% the best case is a 1.33× win — which barrier
-/// and staging overhead eat in practice. Coalesced workloads whose events
-/// concentrate on one side of the cut (e.g. an NFS server fanning RDMA
-/// writes to thin clients) land well above this and run serially.
-const AUTO_MAX_DOMAIN_SHARE: f64 = 0.75;
+/// busiest domain, so at 65% the best case is a 1.54× win. Lopsided cuts
+/// lost in practice: broadcasts whose root cluster held 65–67% of the
+/// probed events ran up to 1.4× slower partitioned, and coalesced workloads
+/// whose events concentrate on one side of the cut (e.g. an NFS server
+/// fanning RDMA writes to thin clients) land well above this and run
+/// serially.
+const AUTO_MAX_DOMAIN_SHARE: f64 = 0.65;
 
 /// Events dispatched per domain index are folded into this many slots.
 const DOMAIN_TALLY_SLOTS: usize = 8;
@@ -150,7 +156,7 @@ pub struct RunTally {
     pub partitioned_runs: u64,
     /// `Fabric::run` calls that executed serially.
     pub serial_runs: u64,
-    /// Total synchronization rounds across all partitioned runs.
+    /// Stealer condvar waits across all partitioned runs.
     pub sync_rounds: u64,
     /// Widest split seen (0 when everything ran serially).
     pub max_domains: u64,
@@ -725,12 +731,13 @@ impl Fabric {
                     return false; // one bounded trace can't span two threads
                 }
                 if plan.min_lookahead() < Some(AUTO_MIN_LOOKAHEAD) {
-                    return false; // window too narrow to amortize barriers
+                    return false; // window too narrow to amortize handoffs
                 }
-                // Thread budget: spare cores after sweep workers (or the
-                // per-job allowance a pool granted us). On a 1-core box this
-                // is 1 < domains, so Auto always runs serially — it can
-                // never be slower than serial there.
+                // Thread budget: a stealer per domain from the spare cores
+                // after sweep workers (or the per-job allowance a pool
+                // granted us). Fewer stealers run correctly — Force uses
+                // them — but Auto only partitions when every domain can
+                // have a core; on a 1-core box it always runs serially.
                 domain::spawn_budget() >= plan.domains
             }
         }
@@ -902,8 +909,8 @@ impl Fabric {
 /// Fabric-wide traffic totals from [`Fabric::report`].
 ///
 /// Equality deliberately skips `domains` and `sync_rounds`: they describe
-/// *how* the engine executed (serial vs. partitioned, how often a domain
-/// blocked), not what the simulated fabric did, and the A/B determinism
+/// *how* the engine executed (serial vs. partitioned, how often a stealer
+/// waited), not what the simulated fabric did, and the A/B determinism
 /// suites compare serial and partitioned reports with `==`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FabricReport {
@@ -919,8 +926,8 @@ pub struct FabricReport {
     pub switch_packets_forwarded: u64,
     /// Domains the most recent run was split into (0 = ran serially).
     pub domains: usize,
-    /// Synchronization rounds the most recent partitioned run executed
-    /// (0 = ran serially).
+    /// Stealer condvar waits in the most recent partitioned run (0 = ran
+    /// serially, or never waited).
     pub sync_rounds: u64,
     /// Event-engine hot-path counters (allocations, pool hits, queue depth).
     pub engine_counters: simcore::EngineCounters,

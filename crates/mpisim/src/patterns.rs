@@ -422,6 +422,27 @@ mod tests {
         assert_eq!(p.required_ranks(), Some(6));
     }
 
+    /// Seeds span all of `u64`: the JSON layer must carry them exactly, not
+    /// round them to the nearest `f64`.
+    #[test]
+    fn sparse_random_seeds_round_trip_exactly() {
+        for seed in [(1u64 << 53) - 1, (1 << 53) + 1, u64::MAX] {
+            let p = Pattern::SparseRandom {
+                degree: 2,
+                msg_bytes: 64,
+                supersteps: 3,
+                seed,
+            };
+            let j = p.to_value().to_pretty();
+            let back = Pattern::from_value(&minijson::Value::parse(&j).unwrap())
+                .unwrap_or_else(|e| panic!("seed {seed} rejected: {e}"));
+            match back {
+                Pattern::SparseRandom { seed: s, .. } => assert_eq!(s, seed),
+                other => panic!("wrong variant {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn json_round_trip() {
         let p = Pattern::Ring {

@@ -167,7 +167,9 @@ pub struct P2p {
     posted: VecDeque<Posted>,
     unexpected: VecDeque<Unexpected>,
     rndv_out: HashMap<u32, RndvOut>,
-    rndv_in: HashMap<u32, ReqId>,
+    /// Inbound rendezvous by `(sender rank, sender's rndv id)`: ids are
+    /// per-sender counters, so two peers' transfers share ids.
+    rndv_in: HashMap<(usize, u32), ReqId>,
     wr_purpose: HashMap<u64, WrPurpose>,
     cpu: SerialResource,
     deferred: VecDeque<ReqId>,
@@ -417,7 +419,7 @@ impl P2p {
         len: u32,
         req: ReqId,
     ) {
-        self.rndv_in.insert(rndv, req);
+        self.rndv_in.insert((peer, rndv), req);
         match self.cfg.rndv_protocol {
             RndvProtocol::Rput | RndvProtocol::R3 => self.send_cts(hca, ctx, peer, rndv),
             RndvProtocol::Rget => {
@@ -474,7 +476,7 @@ impl P2p {
                     // the sender learns via DONE.
                     let req = self
                         .rndv_in
-                        .remove(&rndv)
+                        .remove(&(peer, rndv))
                         .expect("RGET read for unknown rendezvous");
                     self.events.push(MpiEvent { req });
                     let done =
@@ -570,7 +572,7 @@ impl P2p {
             MpiWire::Fin { rndv, .. } => {
                 let req = self
                     .rndv_in
-                    .remove(&rndv)
+                    .remove(&(src, rndv))
                     .expect("FIN for unknown rendezvous");
                 // Data already landed (FIN is ordered behind the RDMA write).
                 self.events.push(MpiEvent { req });
@@ -591,7 +593,7 @@ impl P2p {
                 if last {
                     let req = self
                         .rndv_in
-                        .remove(&rndv)
+                        .remove(&(src, rndv))
                         .expect("R3 data for unknown rendezvous");
                     self.defer_done(ctx, req, fin);
                 }

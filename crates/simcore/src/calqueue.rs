@@ -20,8 +20,9 @@
 //!   exact priority queue pops the same order.
 //! * Anything the bucket array cannot place exactly — events beyond the
 //!   current bucket horizon (long-RTO retransmit timers), or events scheduled
-//!   behind an already-advanced cursor (cross-domain arrivals pushed while a
-//!   domain idles at its window edge) — detours into an **exact fallback
+//!   behind an already-advanced cursor (a bounded pop never parks the cursor
+//!   past its deadline, so this stays rare for cross-domain arrivals at a
+//!   window edge) — detours into an **exact fallback
 //!   heap** that is merged with the bucket walk by full-key comparison on
 //!   every pop. The fallback is never approximated away; it is counted in
 //!   [`EngineCounters::cal_fallback_hits`].
@@ -208,6 +209,21 @@ impl Calendar {
         None
     }
 
+    /// Low time edge (ns) of the bucket [`Calendar::prepare`] would park the
+    /// cursor on next: the first occupied bucket, or the fallback minimum's
+    /// bucket when the array is empty (`u64::MAX` when both are empty).
+    fn next_start(&self) -> u64 {
+        match self.next_occupied(self.cursor) {
+            Some(idx) => {
+                let steps = (idx + self.buckets.len() - self.cursor) & self.mask;
+                self.cursor_start + self.width * steps as u64
+            }
+            None => self.overflow.peek().map_or(u64::MAX, |Reverse(k)| {
+                k.at().as_ns() / self.width * self.width
+            }),
+        }
+    }
+
     /// Re-seed the epoch from the fallback minimum: park the cursor on its
     /// bucket and pull every fallback key inside the new horizon into the
     /// bucket array. Called only when the bucket array is empty, so the
@@ -275,13 +291,28 @@ impl Calendar {
     }
 
     /// Pop the minimum if it is at or before `deadline` (`None` = unbounded).
-    /// A declined pop still advances the cursor and sorts — both are
-    /// semantically transparent.
+    /// A bounded pop never moves the cursor past its deadline: a partitioned
+    /// window ends at its horizon, and the cross-domain arrivals delivered
+    /// next land at or beyond it — parked beyond them, the cursor would send
+    /// every one to the fallback heap.
     fn pop_impl(
         &mut self,
         deadline: Option<Time>,
         counters: &mut EngineCounters,
     ) -> Option<HeapKey> {
+        if let Some(d) = deadline {
+            if self.buckets[self.cursor].is_empty() && self.next_start() > d.as_ns() {
+                // Every bucket key lies past the deadline; only a fallback
+                // key can still be due, and then it is the global minimum.
+                let due = matches!(self.overflow.peek(), Some(Reverse(o)) if o.at() <= d);
+                if !due {
+                    return None;
+                }
+                counters.cal_fallback_hits += 1;
+                let Reverse(k) = self.overflow.pop().expect("peeked above");
+                return Some(k);
+            }
+        }
         self.prepare(counters);
         let bucket_min = self.buckets[self.cursor].last();
         let (use_fallback, min_at) = match (bucket_min, self.overflow.peek()) {
@@ -348,6 +379,22 @@ impl EventQueue {
             mode: Mode::Heap(Warmup::new()),
             len: 0,
         }
+    }
+
+    /// An empty queue that starts with this queue's layout: the same bucket
+    /// width and count with the cursor at `start` once this one has
+    /// graduated, a fresh warmup heap otherwise. Each domain of a
+    /// partitioned run starts this way, so a run split after the probe's
+    /// 4096-event prefix does not re-learn on a cold heap what the serial
+    /// prefix already measured.
+    pub(crate) fn empty_like(&self, start: Time) -> Self {
+        let mode = match &self.mode {
+            Mode::Calendar(c) => {
+                Mode::Calendar(Calendar::new(c.width, c.buckets.len(), start.as_ns()))
+            }
+            Mode::Heap(_) => Mode::Heap(Warmup::new()),
+        };
+        EventQueue { mode, len: 0 }
     }
 
     /// A queue pinned to a given calendar layout from the start (no warmup)
@@ -587,6 +634,13 @@ mod tests {
             assert_eq!(q.pop(&mut counters), Some(want));
         }
         assert_eq!(q.len(), 0);
+
+        // A domain split off now starts on the learned layout, not a heap.
+        let mut split = q.empty_like(Time::from_ns(t));
+        assert!(split.is_calendar());
+        split.push(key(t + 5, 0, 0));
+        assert_eq!(split.pop(&mut counters).unwrap().at(), Time::from_ns(t + 5));
+        assert!(!EventQueue::new().empty_like(Time::ZERO).is_calendar());
     }
 
     #[test]
@@ -619,6 +673,38 @@ mod tests {
         q.push(key(u64::from(u32::MAX) * 4, 2, 2)); // far beyond horizon
         assert!(q.pop_before(Time::from_ns(150), &mut counters).is_none());
         assert_eq!(q.pop(&mut counters).unwrap().at(), Time::from_ns(200));
+    }
+
+    /// A declined bounded pop leaves the cursor at or before its deadline,
+    /// so keys pushed afterwards between the deadline and the next queued
+    /// key (a partitioned window's arrivals) still land in buckets.
+    #[test]
+    fn declined_bounded_pop_keeps_the_cursor_behind_its_deadline() {
+        let mut q = EventQueue::with_calendar(16, 64);
+        let mut counters = EngineCounters::default();
+        q.push(key(10, 0, 0));
+        q.push(key(900, 1, 1));
+        assert_eq!(q.pop(&mut counters).unwrap().at(), Time::from_ns(10));
+        assert!(q.pop_before(Time::from_ns(99), &mut counters).is_none());
+        q.push(key(500, 2, 2));
+        assert_eq!(q.pop(&mut counters).unwrap().at(), Time::from_ns(500));
+        assert_eq!(q.pop(&mut counters).unwrap().at(), Time::from_ns(900));
+        assert_eq!(counters.cal_fallback_hits, 0);
+        // A key beyond the horizon waits in the fallback: a bounded pop
+        // declines it without re-seeding past its deadline, and a bucket key
+        // pushed afterwards below the deadline still pops first.
+        q.push(key(5000, 3, 3));
+        assert!(q.pop_before(Time::from_ns(960), &mut counters).is_none());
+        q.push(key(950, 4, 4));
+        assert_eq!(
+            q.pop_before(Time::from_ns(960), &mut counters)
+                .unwrap()
+                .at(),
+            Time::from_ns(950)
+        );
+        assert!(q.pop_before(Time::from_ns(960), &mut counters).is_none());
+        assert_eq!(q.pop(&mut counters).unwrap().at(), Time::from_ns(5000));
+        assert_eq!(counters.cal_fallback_hits, 0);
     }
 
     #[test]

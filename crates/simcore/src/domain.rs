@@ -1,7 +1,6 @@
 //! Conservative partitioned parallel execution: split one engine's actor
-//! graph into domains and run each domain's event loop either on its own
-//! thread (when the core budget allows) or cooperatively on the calling
-//! thread (when it does not).
+//! graph into domains and run their event loops on a work-stealing executor
+//! that maps any number of domains onto any number of threads.
 //!
 //! ## Why this is safe on a WAN topology
 //!
@@ -13,42 +12,43 @@
 //! that sent it. That is exactly the structure conservative parallel
 //! discrete-event simulation (Chandy–Misra style) exploits.
 //!
-//! ## The batched-window floor protocol (threaded mode)
+//! ## The work-stealing executor
 //!
-//! Earlier revisions ran all domains in barrier lockstep: two `Barrier`
-//! waits per window, ~16 events per domain between them, so futex traffic
-//! dominated wall time. The current protocol has **no barriers at all**.
-//! Each domain publishes two atomics:
+//! The split engines sit in per-domain slots. All scheduler state — which
+//! domains are checked out, each domain's effective next-event time `nvt`,
+//! per-destination inboxes, wire tails, and per-direction arrival counters —
+//! lives under one `Mutex`. A **stealer** is any thread running the loop:
 //!
-//! * `floor_d` — a **monotone** lower bound on the timestamp of anything
-//!   domain `d` will ever process (and hence, `+ L[d][s]`, on anything it
-//!   will ever send to `s`). Published with `fetch_max`; stale reads are
-//!   merely conservative.
-//! * `nvt_d` — the exact next-event time (`u64::MAX` when idle), used only
-//!   by termination detection.
+//! 1. under the lock, compute every domain's floor
+//!    `floor_s = min over r of nvt_r + P0[r][s]` (the zero-diagonal
+//!    lookahead path closure, so transit chains count) and, per parked
+//!    domain, its horizon
 //!
-//! A domain's loop iteration is: (1) read every inbound peer's `floor` and
-//! `wire_tail` *before* draining (the order is load-bearing: a floor value
-//! read after a peer's flush proves — via release/acquire through the
-//! atomic — that the flush is visible to the drain); (2) drain the inbound
-//! SPSC channels, inserting arrivals with deterministic sequence keys (see
-//! below); (3) publish `nvt`, then `floor = min(nvt, min over inbound s of
-//! floor_s + L[s][d])` — Bellman–Ford relaxation that converges in ≤ n
-//! iterations of spinning; (4) compute the horizon
+//!    ```text
+//!    H_d = min over inbound s of  max(floor_s + L[s][d], wire_tail[s][d])
+//!    ```
 //!
-//! ```text
-//! H_d = min over inbound s of  max(floor_s + L[s][d], wire_tail[s][d])
-//! ```
+//!    and check out a domain with `nvt_d < H_d` (lowest `nvt` first);
+//! 2. outside the lock, process **every** event strictly below `H_d` in one
+//!    `run_until` call;
+//! 3. under the lock again, deliver its outbox — straight into a parked
+//!    receiver's queue, or into a checked-out receiver's inbox — then insert
+//!    whatever landed in its own inbox meanwhile and return it to its slot.
 //!
-//! and, if `nvt_d < H_d`, process **every** event strictly below `H_d` in
-//! one `run_until` call — a multi-window batch — then flush the outbox.
-//! Only a domain that would actually block waits, and then by spinning,
-//! yielding, and finally parking in short sleeps paced by an EWMA of
-//! observed wait-episode lengths (the adaptive component: the pacing
-//! learns the cross-domain arrival cadence; correctness never depends on
-//! it). `DomainReport::sync_rounds` counts those parks — the number of
-//! times any domain truly blocked — while `EngineCounters::sync_rounds_saved`
-//! counts windows advanced without blocking.
+//! A checked-out domain keeps its checkout `nvt` as its floor: nothing its
+//! window dispatches lies below it, so peers may run concurrently against
+//! that bound. The calling thread is stealer 0. Up to
+//! `min(spawn_budget(), domains) - 1` helpers are spawned lazily, and a
+//! helper is woken (or spawned) only when a checkout leaves another domain
+//! runnable whose recent windows averaged at least `HELPER_MIN_WINDOW_NS`
+//! of wall time. A stealer with nothing runnable waits on a `Condvar` —
+//! never on a timer — and `DomainReport::sync_rounds` counts those waits
+//! (`EngineCounters::barrier_ns` their wall time, `sync_rounds_saved` the
+//! windows a stealer took without waiting first). Under strictly
+//! alternating traffic the stealer that finished A's window finds B
+//! runnable and runs it itself: no handoff, no wakeup. A lone stealer keeps
+//! the uncontended lock through its windows — the single-thread case needs
+//! no code path of its own.
 //!
 //! ## Train-aware lookahead widening
 //!
@@ -67,34 +67,19 @@
 //! Arrivals are inserted with sequence keys from the reserved upper half of
 //! the sequence space: `(1 << 63) | (src << 40) | per-src counter`. The key
 //! depends only on the sender and that sender's FIFO position — never on
-//! *when* the receiver happened to drain — so the final processing order of
-//! every queue is the pure `(time, seq)` heap order, identical for any
-//! window boundaries the OS scheduler produced. That theorem is what lets
-//! the threaded and cooperative executors (and any thread jitter) produce
-//! bit-identical results.
-//!
-//! ## The cooperative executor (1-core mode)
-//!
-//! When `spawn_budget() < domains` (e.g. a saturated sweep, or a 1-core
-//! box), spawning threads would only add handoff latency. Instead the
-//! domains run round-robin on the calling thread with no channels and no
-//! atomics: every sub-engine is visible to the one thread, so a flushed
-//! cross-domain message is pushed straight into the receiver's heap under
-//! its deterministic arrival key, and horizons come straight from the live
-//! next-event times (arrivals included) through the zero-diagonal lookahead
-//! path closure. Same arrival keys, same windows-until-exhausted batching,
-//! zero synchronization cost — so a forced partitioned run on one core
-//! performs like the serial engine instead of 5× worse.
+//! *when* or *by which thread* the receiver's inbox was drained — so the
+//! final processing order of every queue is the pure `(time, seq)` heap
+//! order, identical for any window boundaries, stealer count, or thread
+//! interleaving. That theorem is what makes every schedule bit-identical to
+//! the serial engine.
 //!
 //! ## Termination
 //!
-//! Floors ratchet forever, so termination uses the exact `nvt` atomics plus
-//! an `outstanding` in-flight message counter and an `epoch` counter bumped
-//! by every flush and every drain. An idle domain declares completion only
-//! after a double collect: epoch read, all `nvt == MAX` and
-//! `outstanding == 0`, epoch unchanged. Any message in flight at the first
-//! read is either still counted in `outstanding`, visible as a finite
-//! `nvt`, or forces an epoch bump — all three fail the collect.
+//! Everything is decided under the lock: when no domain is checked out and
+//! nothing is runnable, every `nvt` must be `u64::MAX` (inboxes count toward
+//! `nvt`), and the run is over. A stop request, the event budget, or a panic
+//! inside a window set `exit` and wake every idle stealer; the calling
+//! thread re-raises a panic once every helper has returned its domain.
 //!
 //! RNG note: per-domain engines derive their own seeds, so a partitioned
 //! run is only bit-identical to the serial one when the simulation draws no
@@ -103,13 +88,13 @@
 //! disables fragment-train coalescing.
 
 use crate::engine::{Actor, ActorId, Ctx, Engine, EventKind, Msg, Partition, Staged};
-use crate::spsc;
 use crate::time::{Dur, Time};
 use ibwire::Packet;
 use std::any::Any;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// How a fabric is split into domains, produced by the fabric builder from
@@ -150,10 +135,9 @@ impl DomainSpec {
     /// crossing from `s` to `d`; for `s == d` that is the cheapest cycle
     /// through `d`. Floyd–Warshall over the direct-edge matrix (the
     /// all-infinite diagonal keeps every relaxation a ≥ 1-edge walk);
-    /// `u64::MAX` = no such chain. The threaded floor protocol reaches the
-    /// same fixpoint by iterated one-hop relaxation; the cooperative
-    /// executor uses this closure directly, and `compute_plan` tests pin
-    /// its bounds on 2-domain, ring, and star cuts.
+    /// `u64::MAX` = no such chain. The executor's floors use this closure
+    /// (with a zero diagonal), and `compute_plan` tests pin its bounds on
+    /// 2-domain, ring, and star cuts.
     pub fn path_closure(&self) -> Vec<Vec<u64>> {
         let n = self.domains;
         let mut p = self.lookahead_ns.clone();
@@ -205,12 +189,13 @@ impl DomainSpec {
 pub struct DomainReport {
     /// Domains the run was split into.
     pub domains: usize,
-    /// Blocking waits: the number of times any domain thread exhausted its
-    /// spin/yield budget and parked in a sleep. Near zero when the batched
-    /// windows amortize well; always zero in cooperative mode. (Earlier
-    /// protocol revisions counted lockstep barrier rounds here — ~137k for
-    /// a full fig5a — so this field is the headline amortization metric.)
+    /// Condvar waits: the number of times a stealer found no runnable
+    /// domain and slept until a peer's window returned. Always zero with
+    /// one stealer, and under strictly alternating traffic.
     pub sync_rounds: u64,
+    /// Helper wakeups: condvar notifications plus helper spawns, each issued
+    /// only when a checkout left a second domain runnable.
+    pub helper_wakeups: u64,
     /// Events dispatched by each domain (sums to the serial event count).
     pub events_per_domain: Vec<u64>,
 }
@@ -220,9 +205,11 @@ pub struct DomainReport {
 /// sweep doesn't oversubscribe cores with domain threads.
 static EXTERNAL_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// Test-only schedule perturbation: before its first window, domain `d`
-/// sleeps `((d+1) * knob) % 5000` microseconds. Determinism tests sweep the
-/// knob to randomize thread interleaving; results must not move.
+/// Test-only schedule perturbation: before its first steal, stealer `i`
+/// sleeps `((i+1) * knob) % 5000` microseconds, and every pick rotates among
+/// the runnable domains instead of taking the lowest `nvt`. Determinism
+/// tests sweep the knob to randomize window boundaries and thread
+/// interleaving; results must not move.
 static START_JITTER_US: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
@@ -266,9 +253,9 @@ pub fn set_test_start_jitter_us(us: u64) {
 }
 
 /// Pretend this machine has `n` cores for partitioning decisions made on
-/// the current thread (0 restores the real count). Lets tests exercise the
-/// threaded executor on a 1-core CI box and the cooperative one on a
-/// many-core dev box.
+/// the current thread (0 restores the real count). Partitioned runs started
+/// on this thread then use `n` stealers at most, so tests can exercise any
+/// stealer count on any machine.
 pub fn set_test_assume_cores(n: usize) {
     ASSUME_CORES.with(|c| c.set(n));
 }
@@ -300,10 +287,10 @@ impl Drop for ThreadAllowanceGuard {
     }
 }
 
-/// How many domain threads a partitioned run started on this thread may
-/// spawn: the pool-granted allowance if one is set, otherwise whatever the
+/// How many stealer threads a partitioned run started on this thread may
+/// use: the pool-granted allowance if one is set, otherwise whatever the
 /// machine has left after registered external workers. Never below 1 (the
-/// calling thread itself, i.e. the cooperative executor).
+/// calling thread itself, which always steals).
 pub fn spawn_budget() -> usize {
     let allowance = THREAD_ALLOWANCE.with(|c| c.get());
     if allowance > 0 {
@@ -340,17 +327,17 @@ impl Actor for Foreign {
     }
 }
 
-/// Run `engine` to quiescence split across `spec.domains` — threaded when
-/// the core budget covers the domain count, cooperatively on the calling
-/// thread otherwise — then merge everything (actors, clocks, counters, any
-/// leftover events) back so the caller sees the same `Engine` API surface
-/// as a serial run. Both executors produce bit-identical simulations.
+/// Run `engine` to quiescence split across `spec.domains` on the
+/// work-stealing executor — the calling thread plus up to
+/// `min(spawn_budget(), domains) - 1` lazily spawned helpers — then merge
+/// everything (actors, clocks, counters, any leftover events) back so the
+/// caller sees the same `Engine` API surface as a serial run. Every stealer
+/// count and schedule produces a bit-identical simulation.
 ///
 /// Requirements: `spec.is_runnable()`, one `domain_of` entry per actor, and
 /// tracing disabled (a single bounded trace cannot interleave two threads'
 /// dispatch records meaningfully).
 pub fn run_partitioned(engine: &mut Engine, spec: &DomainSpec) -> DomainReport {
-    let n = spec.domains;
     assert!(spec.is_runnable(), "domain spec is not runnable: {spec:?}");
     assert_eq!(
         spec.domain_of.len(),
@@ -364,16 +351,12 @@ pub fn run_partitioned(engine: &mut Engine, spec: &DomainSpec) -> DomainReport {
 
     let domain_of: Arc<[u32]> = spec.domain_of.clone().into();
     let subs = split_engine(engine, spec, &domain_of);
-
-    let (results, parks, stopped) = if spawn_budget() >= n {
-        run_threaded(subs, spec)
-    } else {
-        run_cooperative(subs, spec)
-    };
+    let (results, sched) = run_stealing(subs, spec, &domain_of);
 
     let mut report = DomainReport {
-        domains: n,
-        sync_rounds: parks,
+        domains: spec.domains,
+        sync_rounds: sched.waits,
+        helper_wakeups: sched.wakeups,
         events_per_domain: results
             .iter()
             .map(|e| e.core.counters.events_processed)
@@ -381,7 +364,8 @@ pub fn run_partitioned(engine: &mut Engine, spec: &DomainSpec) -> DomainReport {
     };
     report.events_per_domain.shrink_to_fit();
 
-    merge_results(engine, results, &domain_of, stopped);
+    merge_results(engine, results, &domain_of, sched.stopped);
+    engine.core.counters.barrier_ns += sched.wait_ns;
     report
 }
 
@@ -401,6 +385,7 @@ fn split_engine(engine: &mut Engine, spec: &DomainSpec, domain_of: &Arc<[u32]>) 
                     .wrapping_add((d + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             );
             e.now = engine.now;
+            e.core.queue = engine.core.queue.empty_like(engine.now);
             e.event_limit = engine.event_limit;
             // Disjoint timer-id ranges: domain d allocates above a high-bits
             // tag so post-split TimerIds never collide across domains.
@@ -510,458 +495,439 @@ fn staged_tail(staged: &Staged) -> u64 {
     }
 }
 
-/// Shared state of a threaded partitioned run. All accesses use `SeqCst`:
-/// the protocol's correctness argument leans on a single total order of the
-/// floor/nvt/outstanding/epoch operations, and a handful of sequentially
-/// consistent operations per multi-event window is noise next to the event
-/// processing they amortize over.
-struct SyncShared {
-    /// Monotone published floors (see module docs).
-    floors: Vec<AtomicU64>,
-    /// Exact published next-event times; termination detection only.
-    nvts: Vec<AtomicU64>,
-    /// `wire_tails[src * n + dst]`: latest staged tail arrival promise.
-    wire_tails: Vec<AtomicU64>,
-    /// Staged messages pushed but not yet reflected in the receiver's
-    /// published `nvt` (incremented before the push, decremented after the
-    /// post-drain publish).
-    outstanding: AtomicU64,
-    /// Bumped by every flush and every non-empty drain; the double-collect
-    /// termination check re-reads it to reject in-between transitions.
-    epoch: AtomicU64,
-    /// An actor requested a stop (or a sibling thread is unwinding).
-    stop: AtomicBool,
-    /// Some domain exhausted its event budget.
-    limit: AtomicBool,
-    /// Clean global quiescence detected; everyone exits.
-    done: AtomicBool,
-    /// First panic payload from a domain thread, re-raised by the caller.
-    panic_slot: Mutex<Option<Box<dyn Any + Send>>>,
+/// A helper is woken (or spawned) for a runnable domain only once that
+/// domain's recent windows averaged at least this much wall time. Running
+/// two domains at once costs more than the wakeup: each one's window is
+/// bounded by the other's checkout `nvt` instead of its post-window `nvt`,
+/// so windows narrow (CG 32+32 at 1 ms: 684 → 1162) and every pair of them
+/// pays a handoff and a cache migration. Measured on 2 cores, NAS windows
+/// of ~0.5 ms still ran slower on two stealers than on one; IS 16+16's
+/// ~1.2 ms windows ran 1.3× faster.
+const HELPER_MIN_WINDOW_NS: u64 = 1_000_000;
+
+/// A cross-domain message waiting in its receiver's inbox, already carrying
+/// its deterministic arrival key.
+struct Arrival {
+    staged: Staged,
+    seq: u64,
 }
 
-/// Spin iterations before yielding, then yields before parking. Wait
-/// episodes shorter than a few microseconds — the common case when a peer
-/// is actively processing — never reach the futex.
-const WAIT_SPINS: u32 = 64;
-const WAIT_YIELDS: u32 = 64;
-
-/// Run the split engines on one thread per domain. Returns the engines (in
-/// domain order), the total park count, and whether a stop was requested.
-fn run_threaded(subs: Vec<Engine>, spec: &DomainSpec) -> (Vec<Engine>, u64, bool) {
-    let n = spec.domains;
-
-    // Per-ordered-pair SPSC channels.
-    let mut senders: Vec<Vec<Option<spsc::Sender<Staged>>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    let mut receivers: Vec<Vec<Option<spsc::Receiver<Staged>>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    for src in 0..n {
-        for dst in 0..n {
-            if src != dst {
-                let (tx, rx) = spsc::channel();
-                senders[src][dst] = Some(tx);
-                receivers[dst][src] = Some(rx);
-            }
-        }
-    }
-
-    let shared = SyncShared {
-        floors: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        // Seed the exact nvts before any thread exists: a verifier must
-        // never observe a pre-first-publish MAX for a domain holding work.
-        nvts: subs
-            .iter()
-            .map(|e| AtomicU64::new(e.next_event_time().map_or(u64::MAX, |t| t.as_ns())))
-            .collect(),
-        wire_tails: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-        outstanding: AtomicU64::new(0),
-        epoch: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-        limit: AtomicBool::new(false),
-        done: AtomicBool::new(false),
-        panic_slot: Mutex::new(None),
-    };
-    let jitter = START_JITTER_US.load(Ordering::SeqCst);
-
-    type Outcome = (Engine, u64, Vec<Option<spsc::Receiver<Staged>>>);
-    let mut results: Vec<Outcome> = std::thread::scope(|s| {
-        let handles: Vec<_> = subs
-            .into_iter()
-            .zip(senders)
-            .zip(receivers)
-            .enumerate()
-            .map(|(me, ((eng, tx), rx))| {
-                let shared = &shared;
-                s.spawn(move || domain_thread(me, eng, tx, rx, spec, shared, jitter))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("domain thread exits cleanly"))
-            .collect()
-    });
-    if let Some(payload) = shared
-        .panic_slot
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
-    {
-        std::panic::resume_unwind(payload);
-    }
-
-    // A stop or budget exhaustion can leave flushed messages undrained in
-    // the channels after the threads exit; pull them into their owner's
-    // queue so nothing is lost (they become merge leftovers).
-    let parks: u64 = results.iter().map(|(_, p, _)| *p).sum();
-    for (eng, _, rxs) in results.iter_mut() {
-        for rx in rxs.iter_mut().flatten() {
-            while let Some(Staged { at, from, to, msg }) = rx.pop() {
-                eng.core
-                    .push_event(at, EventKind::Message { from, to, msg });
-            }
-        }
-    }
-    let stopped = shared.stop.load(Ordering::SeqCst);
-    (
-        results.into_iter().map(|(e, _, _)| e).collect(),
-        parks,
-        stopped,
-    )
+/// Everything the stealers share, guarded by [`Executor::state`].
+struct Sched {
+    /// Parked domain engines; `None` while a stealer has the domain checked
+    /// out.
+    slots: Vec<Option<Box<Engine>>>,
+    /// Effective next-event time per domain (`u64::MAX` = idle): for a
+    /// parked domain the minimum over its queue and its inbox; for a
+    /// checked-out one its checkout `nvt` (the floor of everything the
+    /// running window can dispatch) lowered by whatever has arrived since.
+    nvt: Vec<u64>,
+    /// Arrivals for checked-out domains (a parked receiver takes them
+    /// straight into its queue). The stealer returning the domain inserts
+    /// them, outside the lock, before its next window.
+    inbox: Vec<Vec<Arrival>>,
+    /// `wire_tails[src * n + dst]`: latest staged train-tail arrival promise.
+    wire_tails: Vec<u64>,
+    /// `arrival_ctr[dst * n + src]`: per-direction FIFO position, the low
+    /// bits of every arrival key.
+    arrival_ctr: Vec<u64>,
+    /// Scratch for the per-source floors [`Sched::pick`] computes.
+    floors: Vec<u64>,
+    /// Domains currently checked out.
+    running: usize,
+    /// Stealers blocked on the condvar.
+    idle: usize,
+    /// Wakeups issued to idle stealers that none has consumed yet.
+    notified: usize,
+    /// Helper threads spawned so far (the calling thread is not counted).
+    helpers: usize,
+    /// Every stealer leaves: quiescence, a stop, the event budget, or a panic.
+    exit: bool,
+    /// An actor requested a stop.
+    stopped: bool,
+    /// First panic payload from a window (or the stall detector), re-raised
+    /// on the calling thread once every helper has returned its domain.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Condvar waits (the report's `sync_rounds`).
+    waits: u64,
+    /// Wall nanoseconds stealers spent in those waits.
+    wait_ns: u64,
+    /// Helper wakeups: condvar notifications plus helper spawns.
+    wakeups: u64,
+    /// Rotates the pick among runnable domains under the test jitter knob.
+    jitter_cursor: u64,
+    /// Per-domain moving average of window wall time, nanoseconds: how much
+    /// work a helper woken for that domain can expect.
+    window_ns: Vec<u64>,
 }
 
-/// One domain's thread: the batched-window floor loop from the module docs.
-/// Returns the engine, the park count, and the inbound receivers (so the
-/// caller can rescue undrained messages after an abnormal exit).
-fn domain_thread(
-    me: usize,
-    mut eng: Engine,
-    mut tx: Vec<Option<spsc::Sender<Staged>>>,
-    mut rx: Vec<Option<spsc::Receiver<Staged>>>,
-    spec: &DomainSpec,
-    shared: &SyncShared,
-    jitter_us: u64,
-) -> (Engine, u64, Vec<Option<spsc::Receiver<Staged>>>) {
-    let n = spec.domains;
-    if jitter_us > 0 {
-        // Deterministic per-domain skew, purely to shake the OS schedule.
-        std::thread::sleep(Duration::from_micros(
-            (me as u64 + 1).wrapping_mul(jitter_us) % 5000,
-        ));
-    }
-    let inbound: Vec<usize> = (0..n)
-        .filter(|&s| s != me && spec.lookahead_ns[s][me] != u64::MAX)
-        .collect();
-    let mut arrival_ctr = vec![0u64; n];
-    let mut floors_read = vec![0u64; n];
-    let mut tails_read = vec![0u64; n];
-    let mut parks = 0u64;
-    // Wait bookkeeping: `waited` distinguishes windows that advanced
-    // immediately (sync_rounds_saved) from ones that had to block first;
-    // the EWMA of episode lengths paces the park sleeps to the observed
-    // cross-domain arrival cadence.
-    let mut waited = false;
-    let mut attempts: u32 = 0;
-    let mut episode_start: Option<Instant> = None;
-    let mut episode_ewma_ns: u64 = 20_000;
+/// What [`Sched::pick`] found.
+struct Pick {
+    domain: usize,
+    horizon: u64,
+    /// Another parked domain is runnable too and its windows have been long
+    /// enough to repay a second stealer's wakeup.
+    helper_work: bool,
+}
 
-    loop {
-        if shared.stop.load(Ordering::SeqCst)
-            || shared.limit.load(Ordering::SeqCst)
-            || shared.done.load(Ordering::SeqCst)
-        {
-            break;
-        }
-        // 1. Read peers' promises BEFORE draining. Load-bearing order: a
-        // floor value published after a peer's flush proves that flush is
-        // visible to the drain below, so anything the drain misses was sent
-        // from virtual time ≥ that floor (and staged after that wire tail).
-        for &src in &inbound {
-            floors_read[src] = shared.floors[src].load(Ordering::SeqCst);
-            tails_read[src] = if spec.tail_safe_dir(src, me) {
-                shared.wire_tails[src * n + me].load(Ordering::SeqCst)
-            } else {
-                0
-            };
-        }
-        // 2. Drain inbound channels in fixed sender order, inserting with
-        // reserved sequence keys (order is deterministic regardless of how
-        // the threads raced — see module docs).
-        let mut drained = 0u64;
+impl Sched {
+    /// Choose a parked domain whose effective next-event time lies below its
+    /// horizon. Floors come from the live effective next-event times through
+    /// the zero-diagonal path closure `p0`, so a checked-out domain bounds
+    /// its peers by its checkout `nvt` and every transit chain through it.
+    /// Prefers the lowest `nvt` (it is always runnable when nothing is
+    /// checked out — the progress theorem); the test jitter knob rotates the
+    /// choice instead.
+    fn pick(&mut self, links: &Links, jitter: u64) -> Option<Pick> {
+        let n = self.nvt.len();
         for src in 0..n {
-            if let Some(rx) = rx[src].as_mut() {
-                while let Some(Staged { at, from, to, msg }) = rx.pop() {
-                    eng.core.push_event_arrival(
-                        at,
-                        EventKind::Message { from, to, msg },
-                        arrival_seq(src, arrival_ctr[src]),
-                    );
-                    arrival_ctr[src] += 1;
-                    drained += 1;
-                }
+            let mut floor = u64::MAX;
+            for (r, &nvt) in self.nvt.iter().enumerate() {
+                floor = floor.min(nvt.saturating_add(links.p0[r * n + src]));
             }
+            self.floors[src] = floor;
         }
-        // 3. Publish: exact nvt first, then the relaxed floor, then release
-        // the in-flight debt for what we drained. The debt must outlive the
-        // nvt publish or the termination collect could miss the message.
-        let my_nvt = eng.next_event_time().map_or(u64::MAX, |t| t.as_ns());
-        shared.nvts[me].store(my_nvt, Ordering::SeqCst);
-        let mut floor = my_nvt;
-        for &src in &inbound {
-            floor = floor.min(floors_read[src].saturating_add(spec.lookahead_ns[src][me]));
-        }
-        shared.floors[me].fetch_max(floor, Ordering::SeqCst);
-        if drained > 0 {
-            shared.outstanding.fetch_sub(drained, Ordering::SeqCst);
-            shared.epoch.fetch_add(1, Ordering::SeqCst);
-        }
-        // 4. Horizon: per inbound direction, the static floor bound widened
-        // by the wire-tail train promise where one exists.
-        let mut horizon = u64::MAX;
-        for &src in &inbound {
-            let bound = floors_read[src]
-                .saturating_add(spec.lookahead_ns[src][me])
-                .max(tails_read[src]);
-            horizon = horizon.min(bound);
-        }
-        if my_nvt < horizon {
-            if let Some(t0) = episode_start.take() {
-                let e = t0.elapsed().as_nanos() as u64;
-                eng.core.counters.barrier_ns += e;
-                episode_ewma_ns = (3 * episode_ewma_ns + e) / 4;
-            }
-            attempts = 0;
-            let before = eng.core.counters.events_processed;
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eng.run_until(Time::from_ns(horizon - 1));
-            }));
-            if let Err(payload) = run {
-                shared
-                    .panic_slot
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .get_or_insert(payload);
-                shared.stop.store(true, Ordering::SeqCst);
-                flush_outbox(&mut eng, &mut tx, spec, shared, me);
-                break;
-            }
-            let delta = eng.core.counters.events_processed - before;
-            eng.core.counters.record_window(delta);
-            if !waited {
-                eng.core.counters.sync_rounds_saved += 1;
-            }
-            waited = false;
-            let stop_hit = eng.core.stop;
-            let limit_hit = eng.core.counters.events_processed >= eng.event_limit;
-            flush_outbox(&mut eng, &mut tx, spec, shared, me);
-            if stop_hit {
-                shared.stop.store(true, Ordering::SeqCst);
-                break;
-            }
-            if limit_hit {
-                shared.limit.store(true, Ordering::SeqCst);
-                break;
-            }
-            continue;
-        }
-        // Would block. An idle domain first probes for global quiescence;
-        // otherwise escalate spin → yield → park while peers' floors
-        // converge (each attempt is a full loop iteration, so the
-        // Bellman–Ford relaxation keeps making one-hop progress).
-        if my_nvt == u64::MAX && try_terminate(shared) {
-            shared.done.store(true, Ordering::SeqCst);
-            break;
-        }
-        waited = true;
-        if episode_start.is_none() {
-            episode_start = Some(Instant::now());
-        }
-        attempts += 1;
-        if attempts <= WAIT_SPINS {
-            std::hint::spin_loop();
-        } else if attempts <= WAIT_SPINS + WAIT_YIELDS {
-            std::thread::yield_now();
-        } else {
-            parks += 1;
-            let park_ns = (episode_ewma_ns / 4).clamp(5_000, 100_000);
-            std::thread::sleep(Duration::from_nanos(park_ns));
-        }
-    }
-    if let Some(t0) = episode_start.take() {
-        eng.core.counters.barrier_ns += t0.elapsed().as_nanos() as u64;
-    }
-    (eng, parks, rx)
-}
-
-/// Flush this domain's outbox into the SPSC channels, maintaining the
-/// in-flight debt (incremented before any push so a mid-flight message is
-/// always either counted or visible), wire-tail promises (published after
-/// the push so a reader holding the tail has the message in reach), and the
-/// epoch.
-fn flush_outbox(
-    eng: &mut Engine,
-    tx: &mut [Option<spsc::Sender<Staged>>],
-    spec: &DomainSpec,
-    shared: &SyncShared,
-    me: usize,
-) {
-    let n = spec.domains;
-    let Some(p) = eng.core.partition.as_mut() else {
-        return;
-    };
-    if p.outbox.is_empty() {
-        return;
-    }
-    shared
-        .outstanding
-        .fetch_add(p.outbox.len() as u64, Ordering::SeqCst);
-    for staged in p.outbox.drain(..) {
-        let dst = p.domain_of[staged.to] as usize;
-        let tail = staged_tail(&staged);
-        let is_packet = staged.msg.is_packet();
-        tx[dst]
-            .as_mut()
-            .expect("staged message for a domain with no channel")
-            .push(staged);
-        if spec.tail_safe_dir(me, dst) {
-            debug_assert!(
-                is_packet,
-                "control message on a tail-safe direction voids the wire-tail promise"
-            );
-            shared.wire_tails[me * n + dst].fetch_max(tail, Ordering::SeqCst);
-        }
-    }
-    shared.epoch.fetch_add(1, Ordering::SeqCst);
-}
-
-/// Double-collect quiescence check: all domains idle, nothing in flight,
-/// and no flush or drain slipped between the two epoch reads. Sound because
-/// any message not yet reflected in a receiver's published nvt is either
-/// still counted in `outstanding` or its drain bumped the epoch.
-fn try_terminate(shared: &SyncShared) -> bool {
-    let e1 = shared.epoch.load(Ordering::SeqCst);
-    if shared
-        .nvts
-        .iter()
-        .any(|v| v.load(Ordering::SeqCst) != u64::MAX)
-    {
-        return false;
-    }
-    if shared.outstanding.load(Ordering::SeqCst) != 0 {
-        return false;
-    }
-    shared.epoch.load(Ordering::SeqCst) == e1
-}
-
-/// Run the split engines round-robin on the calling thread: same windows,
-/// same arrival keys, no atomics and no handoff latency. Horizons use live
-/// effective next-event times through the zero-diagonal path closure, so
-/// each visit batches the maximum provably-safe window. Cross-domain
-/// messages skip the channel stage entirely — every sub-engine is visible
-/// to this one thread, so a flushed message goes straight into the
-/// receiver's heap under its deterministic arrival key, and floors read the
-/// receiver's queue minimum with arrivals already included.
-fn run_cooperative(mut subs: Vec<Engine>, spec: &DomainSpec) -> (Vec<Engine>, u64, bool) {
-    let n = spec.domains;
-    let mut wire_tails = vec![0u64; n * n];
-    let mut arrival_ctr = vec![0u64; n * n]; // [dst * n + src]
-    let mut p0 = spec.path_closure();
-    for (i, row) in p0.iter_mut().enumerate() {
-        row[i] = 0; // zero-diagonal: floors bound a domain's own queue too
-    }
-    let mut scratch: Vec<Staged> = Vec::new();
-    let mut stopped = false;
-
-    'run: loop {
-        let mut progressed = false;
+        let mut best: Option<(usize, u64)> = None;
+        let mut runnable = 0u64;
+        let mut long_windows = 0usize;
         for me in 0..n {
-            let my_nvt = subs[me].next_event_time().map_or(u64::MAX, |t| t.as_ns());
-            if my_nvt == u64::MAX {
+            let my_nvt = self.nvt[me];
+            if my_nvt == u64::MAX || self.slots[me].is_none() {
                 continue;
             }
             let mut horizon = u64::MAX;
-            for src in 0..n {
-                if src == me {
-                    continue;
-                }
-                let l = spec.lookahead_ns[src][me];
-                if l == u64::MAX {
-                    continue;
-                }
-                // floor(src) = min over every domain r of its effective
-                // next-event time plus the cheapest ≥0-edge chain r → src.
-                let mut floor = u64::MAX;
-                for r in 0..n {
-                    let nvt_eff = if r == me {
-                        my_nvt
-                    } else {
-                        subs[r].next_event_time().map_or(u64::MAX, |t| t.as_ns())
-                    };
-                    floor = floor.min(nvt_eff.saturating_add(p0[r][src]));
-                }
-                let mut bound = floor.saturating_add(l);
-                if spec.tail_safe_dir(src, me) {
-                    bound = bound.max(wire_tails[src * n + me]);
+            for e in &links.inbound[me] {
+                let mut bound = self.floors[e.src].saturating_add(e.lookahead);
+                if e.tail_safe {
+                    bound = bound.max(self.wire_tails[e.src * n + me]);
                 }
                 horizon = horizon.min(bound);
             }
             if my_nvt >= horizon {
                 continue;
             }
-            let before = subs[me].core.counters.events_processed;
-            let cancelled_before = subs[me].core.counters.timers_cancelled;
-            subs[me].run_until(Time::from_ns(horizon - 1));
-            let delta = subs[me].core.counters.events_processed - before;
-            subs[me].core.counters.record_window(delta);
-            subs[me].core.counters.sync_rounds_saved += 1;
-            // Swallowed tombstones are progress too (the queue shrank), even
-            // though they are deliberately not dispatched events.
-            progressed |= delta > 0 || subs[me].core.counters.timers_cancelled > cancelled_before;
-            {
-                let p = subs[me].core.partition.as_mut().expect("split installs it");
-                std::mem::swap(&mut scratch, &mut p.outbox);
+            runnable += 1;
+            if self.window_ns[me] >= HELPER_MIN_WINDOW_NS {
+                long_windows += 1;
             }
-            for staged in scratch.drain(..) {
-                let dst = spec.domain_of[staged.to] as usize;
-                if spec.tail_safe_dir(me, dst) {
-                    debug_assert!(
-                        staged.msg.is_packet(),
-                        "control message on a tail-safe direction voids the wire-tail promise"
-                    );
-                    let wt = &mut wire_tails[me * n + dst];
-                    *wt = (*wt).max(staged_tail(&staged));
-                }
-                let Staged { at, from, to, msg } = staged;
-                subs[dst].core.push_event_arrival(
-                    at,
-                    EventKind::Message { from, to, msg },
-                    arrival_seq(me, arrival_ctr[dst * n + me]),
-                );
-                arrival_ctr[dst * n + me] += 1;
-            }
-            if subs[me].core.stop {
-                stopped = true;
-                break 'run;
-            }
-            if subs[me].core.counters.events_processed >= subs[me].event_limit {
-                break 'run;
+            let take = match best {
+                None => true,
+                Some(_) if jitter > 0 => (self.jitter_cursor + jitter).is_multiple_of(runnable),
+                Some((b, _)) => my_nvt < self.nvt[b],
+            };
+            if take {
+                best = Some((me, horizon));
             }
         }
-        if !progressed {
-            // Progress theorem: the domain holding the globally minimal
-            // effective nvt always clears its horizon, so a full idle pass
-            // means quiescence — anything else is a protocol bug.
-            let all_idle = subs.iter().all(|e| e.next_event_time().is_none());
-            assert!(
-                all_idle,
-                "cooperative partitioned engine stalled with pending events"
-            );
-            break;
+        self.jitter_cursor = self.jitter_cursor.wrapping_add(1);
+        let (domain, horizon) = best?;
+        let mine_long = self.window_ns[domain] >= HELPER_MIN_WINDOW_NS;
+        Some(Pick {
+            domain,
+            horizon,
+            helper_work: long_windows > usize::from(mine_long),
+        })
+    }
+
+    /// Hand a returned window's outbox to the receivers' inboxes under the
+    /// sender's arrival keys, maintaining wire-tail promises and the
+    /// receivers' effective next-event times.
+    fn deliver(&mut self, links: &Links, me: usize, outbox: &mut Vec<Staged>) {
+        let n = self.nvt.len();
+        for staged in outbox.drain(..) {
+            let dst = links.domain_of[staged.to] as usize;
+            if links.tail_safe[me * n + dst] {
+                debug_assert!(
+                    staged.msg.is_packet(),
+                    "control message on a tail-safe direction voids the wire-tail promise"
+                );
+                let wt = &mut self.wire_tails[me * n + dst];
+                *wt = (*wt).max(staged_tail(&staged));
+            }
+            let ctr = &mut self.arrival_ctr[dst * n + me];
+            let seq = arrival_seq(me, *ctr);
+            *ctr += 1;
+            let at = staged.at.as_ns();
+            if at < self.nvt[dst] {
+                self.nvt[dst] = at;
+            }
+            match self.slots[dst].as_mut() {
+                // Parked: straight into the receiver's queue.
+                Some(eng) => {
+                    let Staged { at, from, to, msg } = staged;
+                    eng.core
+                        .push_event_arrival(at, EventKind::Message { from, to, msg }, seq);
+                }
+                None => self.inbox[dst].push(Arrival { staged, seq }),
+            }
         }
     }
 
-    // No channel residue to return: flushed messages already live in their
-    // receiver's heap, so stop/limit exits merge like any other early exit.
-    (subs, 0, stopped)
+    /// Leave: wake every idle stealer so it sees `exit` too.
+    fn shut_down(&mut self, wake: &Condvar) {
+        self.exit = true;
+        wake.notify_all();
+    }
+}
+
+/// One inbound cut direction of a domain, as the horizon needs it.
+struct Inbound {
+    src: usize,
+    lookahead: u64,
+    tail_safe: bool,
+}
+
+/// The spec's matrices flattened for the scheduler's hot path.
+struct Links {
+    domain_of: Arc<[u32]>,
+    /// `p0[r * n + s]`: zero-diagonal lookahead path closure, so floors
+    /// bound a domain's own queue too.
+    p0: Vec<u64>,
+    /// `tail_safe[s * n + d]`, all false when the spec carries no promises.
+    tail_safe: Vec<bool>,
+    /// Per domain, every sender with a finite lookahead onto it.
+    inbound: Vec<Vec<Inbound>>,
+}
+
+impl Links {
+    fn new(spec: &DomainSpec, domain_of: &Arc<[u32]>) -> Links {
+        let n = spec.domains;
+        let closure = spec.path_closure();
+        let p0 = (0..n * n)
+            .map(|i| {
+                if i / n == i % n {
+                    0
+                } else {
+                    closure[i / n][i % n]
+                }
+            })
+            .collect();
+        let tail_safe = (0..n * n)
+            .map(|i| spec.tail_safe_dir(i / n, i % n))
+            .collect();
+        let inbound = (0..n)
+            .map(|me| {
+                (0..n)
+                    .filter(|&src| src != me && spec.lookahead_ns[src][me] != u64::MAX)
+                    .map(|src| Inbound {
+                        src,
+                        lookahead: spec.lookahead_ns[src][me],
+                        tail_safe: spec.tail_safe_dir(src, me),
+                    })
+                    .collect()
+            })
+            .collect();
+        Links {
+            domain_of: Arc::clone(domain_of),
+            p0,
+            tail_safe,
+            inbound,
+        }
+    }
+}
+
+/// Immutable run parameters plus the scheduler lock and its condvar.
+struct Executor {
+    links: Links,
+    /// Helpers the run may spawn: `min(spawn_budget(), domains) - 1`.
+    max_helpers: usize,
+    /// Test-only schedule perturbation (see [`START_JITTER_US`]).
+    jitter_us: u64,
+    state: Mutex<Sched>,
+    wake: Condvar,
+}
+
+impl Executor {
+    fn lock(&self) -> MutexGuard<'_, Sched> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Run the split engines on the work-stealing executor. Returns the engines
+/// (in domain order) and the final scheduler state, whose counters and stop
+/// flag feed the report.
+fn run_stealing(
+    subs: Vec<Engine>,
+    spec: &DomainSpec,
+    domain_of: &Arc<[u32]>,
+) -> (Vec<Engine>, Sched) {
+    let n = spec.domains;
+    let exec = Executor {
+        links: Links::new(spec, domain_of),
+        max_helpers: spawn_budget().min(n) - 1,
+        jitter_us: START_JITTER_US.load(Ordering::SeqCst),
+        state: Mutex::new(Sched {
+            nvt: subs
+                .iter()
+                .map(|e| e.next_event_time().map_or(u64::MAX, |t| t.as_ns()))
+                .collect(),
+            slots: subs.into_iter().map(|e| Some(Box::new(e))).collect(),
+            inbox: (0..n).map(|_| Vec::new()).collect(),
+            wire_tails: vec![0; n * n],
+            arrival_ctr: vec![0; n * n],
+            floors: vec![0; n],
+            running: 0,
+            idle: 0,
+            notified: 0,
+            helpers: 0,
+            exit: false,
+            stopped: false,
+            panic: None,
+            waits: 0,
+            wait_ns: 0,
+            wakeups: 0,
+            jitter_cursor: 0,
+            window_ns: vec![0; n],
+        }),
+        wake: Condvar::new(),
+    };
+    // The calling thread is stealer 0; helpers join the scope lazily.
+    std::thread::scope(|scope| steal(0, &exec, scope));
+
+    let mut sched = exec.state.into_inner().unwrap_or_else(|e| e.into_inner());
+    if let Some(payload) = sched.panic.take() {
+        std::panic::resume_unwind(payload);
+    }
+    // A stop or budget exit can strand arrivals in inboxes; queue them in
+    // their owner so they merge back as leftovers.
+    let mut engines: Vec<Engine> = sched
+        .slots
+        .iter_mut()
+        .map(|s| *s.take().expect("every stealer returns its domain"))
+        .collect();
+    for (eng, inbox) in engines.iter_mut().zip(sched.inbox.iter_mut()) {
+        insert_arrivals(eng, inbox);
+    }
+    (engines, sched)
+}
+
+/// Queue a domain's pending arrivals under their precomputed keys.
+fn insert_arrivals(eng: &mut Engine, inbox: &mut Vec<Arrival>) {
+    for Arrival { staged, seq } in inbox.drain(..) {
+        let Staged { at, from, to, msg } = staged;
+        eng.core
+            .push_event_arrival(at, EventKind::Message { from, to, msg }, seq);
+    }
+}
+
+/// One stealer's loop: check out a runnable domain, run its window outside
+/// the lock, return it and deliver its outbox; wait on the condvar only when
+/// nothing is runnable. Spawns (or wakes) a helper whenever a checkout
+/// leaves another domain runnable whose windows run long enough to pay for
+/// it, and the thread budget allows one.
+fn steal<'scope>(id: usize, exec: &'scope Executor, scope: &'scope Scope<'scope, '_>) {
+    if exec.jitter_us > 0 {
+        // Deterministic per-stealer skew, purely to shake the OS schedule.
+        std::thread::sleep(Duration::from_micros(
+            (id as u64 + 1).wrapping_mul(exec.jitter_us) % 5000,
+        ));
+    }
+    let mut inbox: Vec<Arrival> = Vec::new();
+    let mut outbox: Vec<Staged> = Vec::new();
+    let mut waited = false;
+    let mut s = exec.lock();
+    loop {
+        if s.exit {
+            return;
+        }
+        let Some(pick) = s.pick(&exec.links, exec.jitter_us) else {
+            if s.running == 0 {
+                // Progress theorem: with nothing checked out, the domain
+                // holding the globally minimal nvt always clears its horizon,
+                // so an empty pick means quiescence — anything else is a
+                // scheduler bug.
+                if s.nvt.iter().any(|&t| t != u64::MAX) {
+                    s.panic.get_or_insert_with(|| {
+                        Box::new("partitioned engine stalled with pending events")
+                    });
+                }
+                s.shut_down(&exec.wake);
+                return;
+            }
+            s.idle += 1;
+            s.waits += 1;
+            let t0 = Instant::now();
+            s = exec
+                .wake
+                .wait_while(s, |s| s.notified == 0 && !s.exit)
+                .unwrap_or_else(|e| e.into_inner());
+            s.notified = s.notified.saturating_sub(1);
+            s.idle -= 1;
+            s.wait_ns += t0.elapsed().as_nanos() as u64;
+            waited = true;
+            continue;
+        };
+        let d = pick.domain;
+        let mut eng = s.slots[d].take().expect("picked a parked domain");
+        s.running += 1;
+        let mut spawn = None;
+        if pick.helper_work {
+            if s.idle > s.notified {
+                s.notified += 1;
+                s.wakeups += 1;
+                exec.wake.notify_one();
+            } else if s.helpers < exec.max_helpers {
+                s.helpers += 1;
+                s.wakeups += 1;
+                spawn = Some(s.helpers);
+            }
+        }
+        // Alone for the whole run, the stealer keeps the (uncontended) lock
+        // through its window instead of paying two more handoffs.
+        let held = if exec.max_helpers == 0 {
+            Some(s)
+        } else {
+            drop(s);
+            None
+        };
+        if let Some(helper) = spawn {
+            scope.spawn(move || steal(helper, exec, scope));
+        }
+
+        // Window timing feeds only the helper heuristic: skip it alone.
+        let t0 = (exec.max_helpers > 0).then(Instant::now);
+        let before = eng.core.counters.events_processed;
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eng.run_until(Time::from_ns(pick.horizon - 1));
+        }));
+        let window_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let delta = eng.core.counters.events_processed - before;
+        eng.core.counters.record_window(delta);
+        if !waited {
+            eng.core.counters.sync_rounds_saved += 1;
+        }
+        waited = false;
+        if let Some(p) = eng.core.partition.as_mut() {
+            std::mem::swap(&mut outbox, &mut p.outbox);
+        }
+        let stop_hit = eng.core.stop;
+        let limit_hit = eng.core.counters.events_processed >= eng.event_limit;
+
+        s = held.unwrap_or_else(|| exec.lock());
+        s.deliver(&exec.links, d, &mut outbox);
+        while !s.inbox[d].is_empty() {
+            // Peers delivered while the window ran: queue those arrivals
+            // outside the lock (more may land meanwhile), then park.
+            std::mem::swap(&mut inbox, &mut s.inbox[d]);
+            drop(s);
+            insert_arrivals(&mut eng, &mut inbox);
+            s = exec.lock();
+        }
+        s.nvt[d] = eng.next_event_time().map_or(u64::MAX, |t| t.as_ns());
+        s.slots[d] = Some(eng);
+        s.running -= 1;
+        s.window_ns[d] = (3 * s.window_ns[d] + window_ns) / 4;
+        if let Err(payload) = run {
+            s.panic.get_or_insert(payload);
+            s.stopped = true;
+            s.shut_down(&exec.wake);
+        } else if stop_hit {
+            s.stopped = true;
+            s.shut_down(&exec.wake);
+        } else if limit_hit {
+            s.shut_down(&exec.wake);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1024,13 +990,17 @@ mod tests {
         r
     }
 
-    /// Both executors, same workload, same serial golden.
+    /// Stealer counts every executor test sweeps: the single-thread loop,
+    /// one helper, and more stealers than domains.
+    const STEALERS: [usize; 3] = [1, 2, 4];
+
+    /// Every stealer count, same workload, same serial golden.
     #[test]
-    fn partitioned_ping_pong_matches_serial_in_both_modes() {
+    fn partitioned_ping_pong_matches_serial_at_every_stealer_count() {
         let mut serial = ping_pong_engine(50);
         let end_serial = serial.run();
 
-        for cores in [1usize, 8] {
+        for cores in STEALERS {
             let (par, report) = with_cores(cores, || {
                 let mut par = ping_pong_engine(50);
                 let report = run_partitioned(&mut par, &two_domain_spec());
@@ -1064,20 +1034,92 @@ mod tests {
     }
 
     #[test]
-    fn jitter_does_not_change_outcome_threaded() {
-        let (base_now, base_events) = with_cores(8, || {
-            let mut base = ping_pong_engine(30);
-            run_partitioned(&mut base, &two_domain_spec());
-            (base.now(), base.events_processed())
-        });
-        for knob in [1u64, 137, 991] {
-            set_test_start_jitter_us(knob);
-            let mut e = ping_pong_engine(30);
-            with_cores(8, || run_partitioned(&mut e, &two_domain_spec()));
-            assert_eq!(e.now(), base_now, "jitter {knob} changed the clock");
-            assert_eq!(e.events_processed(), base_events);
+    fn jitter_does_not_change_outcome() {
+        let mut serial = ping_pong_engine(30);
+        let end = serial.run();
+        for cores in STEALERS {
+            for knob in [1u64, 137, 991] {
+                set_test_start_jitter_us(knob);
+                let mut e = ping_pong_engine(30);
+                with_cores(cores, || run_partitioned(&mut e, &two_domain_spec()));
+                set_test_start_jitter_us(0);
+                assert_eq!(
+                    e.now(),
+                    end,
+                    "jitter {knob} at {cores} stealers moved the clock"
+                );
+                assert_eq!(e.events_processed(), serial.events_processed());
+            }
         }
-        set_test_start_jitter_us(0);
+    }
+
+    /// Strictly alternating traffic never leaves two domains runnable at
+    /// once, so the stealer that finished one side's window runs the other
+    /// itself: no helper is ever woken or spawned, and nobody waits.
+    #[test]
+    fn alternating_ping_pong_needs_no_helper() {
+        let mut serial = ping_pong_engine(200);
+        let end = serial.run();
+        let mut e = ping_pong_engine(200);
+        let report = with_cores(2, || run_partitioned(&mut e, &two_domain_spec()));
+        assert_eq!(report.helper_wakeups, 0, "{report:?}");
+        assert_eq!(report.sync_rounds, 0, "{report:?}");
+        assert_eq!(e.now(), end);
+        assert_eq!(e.events_processed(), serial.events_processed());
+    }
+
+    /// Echo actor that burns host time per message, so its domain's windows
+    /// are long enough to be worth a helper.
+    struct Grind {
+        peer: ActorId,
+        count: u32,
+    }
+
+    impl Actor for Grind {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ActorId, _msg: Box<dyn Any>) {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_micros(200) {
+                std::hint::spin_loop();
+            }
+            self.count += 1;
+            if self.count < 30 {
+                ctx.send(self.peer, Box::new(0u8), Dur::from_us(10));
+            }
+        }
+    }
+
+    /// One ping-pong inside each domain keeps both runnable at once with
+    /// long windows: with two or more stealers the executor must bring in a
+    /// helper, and the result must still match serial.
+    #[test]
+    fn concurrent_long_windows_wake_a_helper_and_match_serial() {
+        let build = || {
+            let mut e = Engine::new(9);
+            for peer in [1usize, 0, 3, 2] {
+                e.add_actor(Box::new(Grind { peer, count: 0 }));
+            }
+            e.schedule_message(Time::ZERO, 1, 0, Box::new(0u8));
+            e.schedule_message(Time::from_ns(1), 3, 2, Box::new(0u8));
+            e
+        };
+        let mut spec = two_domain_spec();
+        spec.domain_of = vec![0, 0, 1, 1];
+        let mut serial = build();
+        let end = serial.run();
+        for cores in STEALERS {
+            let mut e = build();
+            let report = with_cores(cores, || run_partitioned(&mut e, &spec));
+            assert_eq!(e.now(), end, "cores={cores}");
+            assert_eq!(e.events_processed(), serial.events_processed());
+            for id in 0..4 {
+                assert_eq!(e.actor::<Grind>(id).count, serial.actor::<Grind>(id).count);
+            }
+            if cores == 1 {
+                assert_eq!(report.helper_wakeups, 0, "one stealer has no helpers");
+            } else {
+                assert!(report.helper_wakeups > 0, "cores={cores}: {report:?}");
+            }
+        }
     }
 
     #[test]
@@ -1207,7 +1249,7 @@ mod tests {
         };
         let mut serial = ring_engine();
         let end = serial.run();
-        for cores in [1usize, 8] {
+        for cores in STEALERS {
             let mut par = ring_engine();
             with_cores(cores, || run_partitioned(&mut par, &spec));
             assert_eq!(par.now(), end, "cores={cores}");
@@ -1217,7 +1259,7 @@ mod tests {
 
     /// Same-nanosecond tie between a local timer and a cross-domain arrival:
     /// the reserved upper-half sequence keys put the arrival after the local
-    /// event in *both* executors, for any thread interleaving.
+    /// event at every stealer count, for any thread interleaving.
     struct TieRecorder {
         order: Vec<&'static str>,
     }
@@ -1243,7 +1285,7 @@ mod tests {
     }
 
     #[test]
-    fn same_ns_arrival_sorts_after_local_event_in_both_modes() {
+    fn same_ns_arrival_sorts_after_local_event_at_every_stealer_count() {
         let build = || {
             let mut e = Engine::new(5);
             let a = e.add_actor(Box::new(OneShot {
@@ -1257,7 +1299,7 @@ mod tests {
             e.schedule_timer(Time::from_us(100), b, 1);
             e
         };
-        for cores in [1usize, 8] {
+        for cores in STEALERS {
             let mut e = build();
             with_cores(cores, || run_partitioned(&mut e, &two_domain_spec()));
             assert_eq!(
@@ -1269,7 +1311,8 @@ mod tests {
     }
 
     /// Packet-train traffic over a tail-safe direction: the wire-tail
-    /// promise path must stay bit-identical to serial in both executors.
+    /// promise path must stay bit-identical to serial at every stealer
+    /// count.
     struct TrainSource {
         peer: ActorId,
         sent: u32,
@@ -1341,7 +1384,7 @@ mod tests {
         spec.tail_safe = vec![vec![false, true], vec![false, false]];
         let mut serial = build();
         let end = serial.run();
-        for cores in [1usize, 8] {
+        for cores in STEALERS {
             let mut par = build();
             with_cores(cores, || run_partitioned(&mut par, &spec));
             assert_eq!(par.now(), end, "cores={cores}");
@@ -1357,7 +1400,7 @@ mod tests {
         }
     }
 
-    /// A stop request mid-run must halt both executors without hanging and
+    /// A stop request mid-run must halt every stealer without hanging and
     /// surface through `Engine::stopped`.
     struct Stopper {
         after: u32,
@@ -1377,8 +1420,8 @@ mod tests {
     }
 
     #[test]
-    fn stop_requests_halt_both_modes() {
-        for cores in [1usize, 8] {
+    fn stop_requests_halt_every_stealer_count() {
+        for cores in STEALERS {
             let mut e = Engine::new(17);
             e.add_actor(Box::new(Stopper {
                 after: 5,
@@ -1397,10 +1440,10 @@ mod tests {
         }
     }
 
-    /// Exhausting the event budget must not hang either executor.
+    /// Exhausting the event budget must not hang any stealer count.
     #[test]
     fn event_limit_halts_partitioned_run() {
-        for cores in [1usize, 8] {
+        for cores in STEALERS {
             let mut e = ping_pong_engine(u32::MAX);
             e.set_event_limit(64);
             with_cores(cores, || run_partitioned(&mut e, &two_domain_spec()));
@@ -1432,9 +1475,9 @@ mod tests {
         );
     }
 
-    /// An actor panicking inside a domain thread must not deadlock the
-    /// sibling threads; the payload re-raises on the caller. The test
-    /// completing (rather than hanging) is half the assertion.
+    /// An actor panicking inside a window must not deadlock the other
+    /// stealers; the payload re-raises on the caller. The test completing
+    /// (rather than hanging) is half the assertion.
     struct Bomb;
 
     impl Actor for Bomb {
@@ -1444,8 +1487,8 @@ mod tests {
     }
 
     #[test]
-    fn domain_panic_propagates_without_deadlock_in_both_modes() {
-        for cores in [1usize, 8] {
+    fn domain_panic_propagates_without_deadlock_at_every_stealer_count() {
+        for cores in STEALERS {
             let mut e = Engine::new(3);
             let a = e.add_actor(Box::new(Bomb));
             let b = e.add_actor(Box::new(Bomb));

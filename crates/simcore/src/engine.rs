@@ -169,9 +169,9 @@ pub(crate) enum EventKind {
 }
 
 /// A cross-domain message captured at scheduling time by a partitioned
-/// engine: the absolute delivery time plus the message itself. Staged
-/// messages travel between domain threads over the SPSC channels in
-/// [`crate::domain`] and are re-queued by the receiving domain.
+/// engine: the absolute delivery time plus the message itself. The
+/// work-stealing executor in [`crate::domain`] hands staged messages to the
+/// receiving domain when the sender's window returns.
 pub(crate) struct Staged {
     pub(crate) at: Time,
     pub(crate) from: ActorId,
@@ -198,6 +198,36 @@ pub(crate) struct Partition {
     pub(crate) cross_events: u64,
     /// Events scheduled for each domain while probing, indexed by domain id.
     pub(crate) probe_load: Vec<u64>,
+}
+
+impl Partition {
+    /// Auto's density probe rides on a *serial* engine that hosts all
+    /// domains: a crossing is a sender/receiver domain mismatch. The event
+    /// is only tallied — the caller queues it locally, so the probed prefix
+    /// stays byte-for-byte the serial simulation.
+    #[inline]
+    fn tally(&mut self, kind: &EventKind) {
+        let d = match kind {
+            EventKind::Message { from, to, .. } => {
+                if self.domain_of[*to] != self.domain_of[*from] {
+                    self.cross_events += 1;
+                }
+                self.domain_of[*to]
+            }
+            EventKind::Timer { actor, .. } => self.domain_of[*actor],
+        };
+        self.probe_load[d as usize] += 1;
+    }
+
+    /// Stage a message addressed to another domain's actor in the outbox
+    /// (its delivery time is already absolute, so the receiving domain can
+    /// insert it directly).
+    #[inline]
+    fn stage(&mut self, at: Time, kind: EventKind) {
+        if let EventKind::Message { from, to, msg } = kind {
+            self.outbox.push(Staged { at, from, to, msg });
+        }
+    }
 }
 
 /// What [`Engine::end_partition_probe`] measured over the probed prefix.
@@ -316,12 +346,11 @@ pub struct EngineCounters {
     /// Pops served from the calendar queue's exact-fallback heap (events
     /// beyond the bucket horizon or behind an advanced cursor).
     pub cal_fallback_hits: u64,
-    /// Synchronization windows a partitioned domain advanced through without
-    /// ever blocking on its peers — the batched-window protocol's measure of
-    /// barriers amortized away (serial runs leave this zero).
+    /// Partitioned windows a stealer checked out without waiting on the
+    /// executor's condvar first (serial runs leave this zero).
     pub sync_rounds_saved: u64,
-    /// Wall-clock nanoseconds partitioned domain threads spent blocked
-    /// waiting for a peer's floor to advance (serial runs leave this zero).
+    /// Wall-clock nanoseconds a partitioned run's stealers spent waiting on
+    /// the condvar for a runnable domain (serial runs leave this zero).
     pub barrier_ns: u64,
     /// Log2 histogram of events processed per synchronization window:
     /// bucket `i` counts windows that dispatched `[2^i, 2^(i+1))` events
@@ -456,42 +485,19 @@ impl Core {
     /// domain can insert it directly).
     #[inline]
     pub(crate) fn push_event(&mut self, at: Time, kind: EventKind) {
-        // Keep the serial fast path a single predicted-not-taken branch:
-        // `kind` is ~100 bytes, so it must not move through a match here.
-        if self.partition.is_some() {
-            return self.push_event_partitioned(at, kind);
+        // Keep the serial fast path a single predicted-not-taken branch;
+        // `kind` is ~100 bytes, so it is inspected by reference and moves
+        // only once, into the queue or the outbox.
+        if let Some(p) = self.partition.as_mut() {
+            if p.probe {
+                p.tally(&kind);
+            } else if let EventKind::Message { to, .. } = &kind {
+                if p.domain_of[*to] != p.domain {
+                    return p.stage(at, kind);
+                }
+            }
         }
         self.push_event_local(at, kind);
-    }
-
-    /// The detour taken while this engine runs as one partitioned domain:
-    /// messages addressed to foreign actors are staged in the outbox,
-    /// everything else falls through to the local queue.
-    #[cold]
-    fn push_event_partitioned(&mut self, at: Time, kind: EventKind) {
-        let p = self.partition.as_mut().expect("checked by push_event");
-        match kind {
-            // Auto's density probe rides on a *serial* engine that hosts all
-            // domains: a crossing is a sender/receiver domain mismatch. The
-            // message is tallied, then delivered locally — the probed prefix
-            // must stay byte-for-byte the serial simulation.
-            EventKind::Message { from, to, .. } if p.probe => {
-                let d = p.domain_of[to];
-                if d != p.domain_of[from] {
-                    p.cross_events += 1;
-                }
-                p.probe_load[d as usize] += 1;
-                self.push_event_local(at, kind);
-            }
-            EventKind::Message { from, to, msg } if p.domain_of[to] != p.domain => {
-                p.outbox.push(Staged { at, from, to, msg });
-            }
-            EventKind::Timer { actor, .. } if p.probe => {
-                p.probe_load[p.domain_of[actor] as usize] += 1;
-                self.push_event_local(at, kind);
-            }
-            kind => self.push_event_local(at, kind),
-        }
     }
 
     /// Slab + heap insertion shared by both paths above. `inline(always)`
@@ -523,8 +529,8 @@ impl Core {
     /// key instead of the engine's own counter. The partitioned engine
     /// reserves the upper half of the sequence space for arrivals (see
     /// [`crate::domain::arrival_seq`]) so that same-nanosecond ties resolve
-    /// identically no matter when a domain happened to drain its inbound
-    /// channels — the cornerstone of window-size independence.
+    /// identically no matter when or by which thread a domain's arrivals
+    /// were delivered — the cornerstone of window-size independence.
     pub(crate) fn push_event_arrival(&mut self, at: Time, kind: EventKind, seq: u64) {
         debug_assert!(seq >= 1 << 63, "arrival seqs live in the upper half");
         let idx = if let Some(idx) = self.free.pop() {

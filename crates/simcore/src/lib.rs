@@ -41,7 +41,6 @@ mod calqueue;
 pub mod domain;
 pub mod engine;
 pub mod rate;
-pub mod spsc;
 pub mod stats;
 pub mod time;
 pub mod trace;
