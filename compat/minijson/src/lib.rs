@@ -11,8 +11,8 @@
 
 use std::fmt::Write as _;
 
-/// The largest integer below which `f64` carries every integer exactly:
-/// 2^53.
+/// 2^53: `f64` holds every integer up to here exactly and skips some
+/// above it.
 const EXACT_F64_INT: u64 = 1 << 53;
 
 /// A parsed JSON value.
