@@ -29,12 +29,14 @@
 //!
 //! Every experiment is timed twice through [`ibwan_core::runner::run_one`]:
 //! once on the serial engine (a [`RunConfig`] with `PartitionMode::Off`) and
-//! once with WAN-boundary partitioning forced (`PartitionMode::Force`) — two
-//! config values, no process-global engine state. The serial median is the
+//! once with WAN-boundary partitioning forced (`PartitionMode::Force`, one
+//! sweep worker, so every point gets all cores as stealers) — two config
+//! values, no process-global engine state. The serial median is the
 //! `secs` field the baseline gate compares — it isolates single-thread
 //! engine regressions from scheduling noise — while `secs_parallel` and
-//! `parallel_speedup` track what the domain engine buys on this machine
-//! (nothing on a 1-core box, where the forced run has a single stealer).
+//! `parallel_speedup` track what the domain engine's own parallelism buys on
+//! this machine against the serial engine's sweep parallelism (nothing on a
+//! 1-core box, where the forced run has a single stealer).
 //! Per-experiment domain stats (`domains`, `sync_rounds`,
 //! `events_per_domain`) and the fragment-coalescing tally (trains emitted,
 //! fragments that rode inside a train, the event-reduction ratio) come from
@@ -190,9 +192,13 @@ fn main() {
             partition: PartitionMode::Off,
             ..RunConfig::default()
         };
+        // One sweep worker, so each forced point gets every core as a
+        // stealer: the parallel column measures the domain executor's own
+        // parallelism against the serial engine's sweep parallelism.
         let forced_cfg = RunConfig {
             fidelity,
             partition: PartitionMode::Force,
+            workers: Some(1),
             ..RunConfig::default()
         };
         let reps = repeat.unwrap_or(match fidelity {

@@ -117,7 +117,7 @@ pub enum Workload {
     },
     /// A NAS class-B skeleton across the two clusters.
     Nas {
-        /// "is", "ft", or "cg".
+        /// Lower-case NAS code name: "is", "ft", "cg", "ep", or "mg".
         benchmark: String,
         /// Ranks per cluster.
         ranks_per_cluster: usize,
@@ -329,7 +329,7 @@ impl Workload {
             "nas" => {
                 let benchmark = text("benchmark")?;
                 let ranks_per_cluster = num("ranks_per_cluster")? as usize;
-                check_nas_ranks(&benchmark, ranks_per_cluster)?;
+                check_nas_ranks(nas_kernel(&benchmark)?, ranks_per_cluster)?;
                 Ok(Workload::Nas {
                     benchmark,
                     ranks_per_cluster,
@@ -352,25 +352,32 @@ impl Workload {
     }
 }
 
-/// Reject NAS jobs the model cannot run: unknown kernels, rank totals
+/// The NAS kernel a workload's `benchmark` key names: the lower-case
+/// [`NasBenchmark::name`] of any implemented code.
+fn nas_kernel(name: &str) -> Result<NasBenchmark, String> {
+    NasBenchmark::ALL_EXTENDED
+        .into_iter()
+        .find(|b| b.name().to_ascii_lowercase() == name)
+        .ok_or_else(|| format!("workload: unknown NAS benchmark {name:?}"))
+}
+
+/// Reject NAS jobs the model cannot run: rank totals
 /// (`2 × ranks_per_cluster`) that are not a power of two — the collectives
 /// use recursive doubling and binomial trees — and, for CG, totals that are
 /// not a square process grid.
-fn check_nas_ranks(benchmark: &str, ranks_per_cluster: usize) -> Result<(), String> {
-    if !matches!(benchmark, "is" | "ft" | "cg" | "ep" | "mg") {
-        return Err(format!("workload: unknown NAS benchmark {benchmark:?}"));
-    }
+fn check_nas_ranks(benchmark: NasBenchmark, ranks_per_cluster: usize) -> Result<(), String> {
+    let name = benchmark.name();
     let total = 2 * ranks_per_cluster;
     if !total.is_power_of_two() {
         return Err(format!(
-            "workload: NAS {benchmark} needs a power-of-two rank total, \
+            "workload: NAS {name} needs a power-of-two rank total, \
              got ranks_per_cluster {ranks_per_cluster} ({total} ranks)"
         ));
     }
     let side = (total as f64).sqrt() as usize;
-    if benchmark == "cg" && side * side != total {
+    if benchmark == NasBenchmark::Cg && side * side != total {
         return Err(format!(
-            "workload: NAS cg needs a square rank total, \
+            "workload: NAS {name} needs a square rank total, \
              got ranks_per_cluster {ranks_per_cluster} ({total} ranks)"
         ));
     }
@@ -697,14 +704,8 @@ impl Scenario {
                 ranks_per_cluster,
             } => {
                 assert_eq!(loss, 0, "NAS workloads model a pristine WAN");
-                let bench = match benchmark.as_str() {
-                    "is" => NasBenchmark::Is,
-                    "ft" => NasBenchmark::Ft,
-                    "cg" => NasBenchmark::Cg,
-                    "ep" => NasBenchmark::Ep,
-                    "mg" => NasBenchmark::Mg,
-                    other => panic!("unknown NAS benchmark {other:?}"),
-                };
+                // Parsed scenarios were validated; a hand-built one is not.
+                let bench = nas_kernel(benchmark).unwrap_or_else(|e| panic!("{e}"));
                 let spec = contextualize(JobSpec::two_clusters(
                     *ranks_per_cluster,
                     *ranks_per_cluster,

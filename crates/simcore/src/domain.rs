@@ -40,15 +40,14 @@
 //! that bound. The calling thread is stealer 0. Up to
 //! `min(spawn_budget(), domains) - 1` helpers are spawned lazily, and a
 //! helper is woken (or spawned) only when a checkout leaves another domain
-//! runnable whose recent windows averaged at least `HELPER_MIN_WINDOW_NS`
-//! of wall time. A stealer with nothing runnable waits on a `Condvar` —
-//! never on a timer — and `DomainReport::sync_rounds` counts those waits
+//! runnable. A stealer with nothing runnable waits on a `Condvar` — never
+//! on a timer — and `DomainReport::sync_rounds` counts those waits
 //! (`EngineCounters::barrier_ns` their wall time, `sync_rounds_saved` the
 //! windows a stealer took without waiting first). Under strictly
 //! alternating traffic the stealer that finished A's window finds B
-//! runnable and runs it itself: no handoff, no wakeup. A lone stealer keeps
-//! the uncontended lock through its windows — the single-thread case needs
-//! no code path of its own.
+//! runnable and runs it itself: no handoff, no wakeup. With a budget of one
+//! the calling thread runs every window itself; the single-thread case
+//! needs no code path of its own.
 //!
 //! ## Train-aware lookahead widening
 //!
@@ -495,16 +494,6 @@ fn staged_tail(staged: &Staged) -> u64 {
     }
 }
 
-/// A helper is woken (or spawned) for a runnable domain only once that
-/// domain's recent windows averaged at least this much wall time. Running
-/// two domains at once costs more than the wakeup: each one's window is
-/// bounded by the other's checkout `nvt` instead of its post-window `nvt`,
-/// so windows narrow (CG 32+32 at 1 ms: 684 → 1162) and every pair of them
-/// pays a handoff and a cache migration. Measured on 2 cores, NAS windows
-/// of ~0.5 ms still ran slower on two stealers than on one; IS 16+16's
-/// ~1.2 ms windows ran 1.3× faster.
-const HELPER_MIN_WINDOW_NS: u64 = 1_000_000;
-
 /// A cross-domain message waiting in its receiver's inbox, already carrying
 /// its deterministic arrival key.
 struct Arrival {
@@ -556,17 +545,13 @@ struct Sched {
     wakeups: u64,
     /// Rotates the pick among runnable domains under the test jitter knob.
     jitter_cursor: u64,
-    /// Per-domain moving average of window wall time, nanoseconds: how much
-    /// work a helper woken for that domain can expect.
-    window_ns: Vec<u64>,
 }
 
 /// What [`Sched::pick`] found.
 struct Pick {
     domain: usize,
     horizon: u64,
-    /// Another parked domain is runnable too and its windows have been long
-    /// enough to repay a second stealer's wakeup.
+    /// Another parked domain is runnable too: work for a second stealer.
     helper_work: bool,
 }
 
@@ -589,7 +574,6 @@ impl Sched {
         }
         let mut best: Option<(usize, u64)> = None;
         let mut runnable = 0u64;
-        let mut long_windows = 0usize;
         for me in 0..n {
             let my_nvt = self.nvt[me];
             if my_nvt == u64::MAX || self.slots[me].is_none() {
@@ -607,9 +591,6 @@ impl Sched {
                 continue;
             }
             runnable += 1;
-            if self.window_ns[me] >= HELPER_MIN_WINDOW_NS {
-                long_windows += 1;
-            }
             let take = match best {
                 None => true,
                 Some(_) if jitter > 0 => (self.jitter_cursor + jitter).is_multiple_of(runnable),
@@ -621,11 +602,10 @@ impl Sched {
         }
         self.jitter_cursor = self.jitter_cursor.wrapping_add(1);
         let (domain, horizon) = best?;
-        let mine_long = self.window_ns[domain] >= HELPER_MIN_WINDOW_NS;
         Some(Pick {
             domain,
             horizon,
-            helper_work: long_windows > usize::from(mine_long),
+            helper_work: runnable >= 2,
         })
     }
 
@@ -777,7 +757,6 @@ fn run_stealing(
             wait_ns: 0,
             wakeups: 0,
             jitter_cursor: 0,
-            window_ns: vec![0; n],
         }),
         wake: Condvar::new(),
     };
@@ -813,8 +792,7 @@ fn insert_arrivals(eng: &mut Engine, inbox: &mut Vec<Arrival>) {
 /// One stealer's loop: check out a runnable domain, run its window outside
 /// the lock, return it and deliver its outbox; wait on the condvar only when
 /// nothing is runnable. Spawns (or wakes) a helper whenever a checkout
-/// leaves another domain runnable whose windows run long enough to pay for
-/// it, and the thread budget allows one.
+/// leaves another domain runnable and the thread budget allows one.
 fn steal<'scope>(id: usize, exec: &'scope Executor, scope: &'scope Scope<'scope, '_>) {
     if exec.jitter_us > 0 {
         // Deterministic per-stealer skew, purely to shake the OS schedule.
@@ -872,25 +850,15 @@ fn steal<'scope>(id: usize, exec: &'scope Executor, scope: &'scope Scope<'scope,
                 spawn = Some(s.helpers);
             }
         }
-        // Alone for the whole run, the stealer keeps the (uncontended) lock
-        // through its window instead of paying two more handoffs.
-        let held = if exec.max_helpers == 0 {
-            Some(s)
-        } else {
-            drop(s);
-            None
-        };
+        drop(s);
         if let Some(helper) = spawn {
             scope.spawn(move || steal(helper, exec, scope));
         }
 
-        // Window timing feeds only the helper heuristic: skip it alone.
-        let t0 = (exec.max_helpers > 0).then(Instant::now);
         let before = eng.core.counters.events_processed;
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             eng.run_until(Time::from_ns(pick.horizon - 1));
         }));
-        let window_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let delta = eng.core.counters.events_processed - before;
         eng.core.counters.record_window(delta);
         if !waited {
@@ -903,7 +871,7 @@ fn steal<'scope>(id: usize, exec: &'scope Executor, scope: &'scope Scope<'scope,
         let stop_hit = eng.core.stop;
         let limit_hit = eng.core.counters.events_processed >= eng.event_limit;
 
-        s = held.unwrap_or_else(|| exec.lock());
+        s = exec.lock();
         s.deliver(&exec.links, d, &mut outbox);
         while !s.inbox[d].is_empty() {
             // Peers delivered while the window ran: queue those arrivals
@@ -916,7 +884,6 @@ fn steal<'scope>(id: usize, exec: &'scope Executor, scope: &'scope Scope<'scope,
         s.nvt[d] = eng.next_event_time().map_or(u64::MAX, |t| t.as_ns());
         s.slots[d] = Some(eng);
         s.running -= 1;
-        s.window_ns[d] = (3 * s.window_ns[d] + window_ns) / 4;
         if let Err(payload) = run {
             s.panic.get_or_insert(payload);
             s.stopped = true;
@@ -1068,8 +1035,8 @@ mod tests {
         assert_eq!(e.events_processed(), serial.events_processed());
     }
 
-    /// Echo actor that burns host time per message, so its domain's windows
-    /// are long enough to be worth a helper.
+    /// Echo actor that burns host time per message, so two domains' windows
+    /// really overlap on two stealers.
     struct Grind {
         peer: ActorId,
         count: u32,
@@ -1088,11 +1055,11 @@ mod tests {
         }
     }
 
-    /// One ping-pong inside each domain keeps both runnable at once with
-    /// long windows: with two or more stealers the executor must bring in a
-    /// helper, and the result must still match serial.
+    /// One ping-pong inside each domain keeps both runnable at once: with
+    /// two or more stealers the executor must bring in a helper, and the
+    /// result must still match serial.
     #[test]
-    fn concurrent_long_windows_wake_a_helper_and_match_serial() {
+    fn concurrent_domains_wake_a_helper_and_match_serial() {
         let build = || {
             let mut e = Engine::new(9);
             for peer in [1usize, 0, 3, 2] {

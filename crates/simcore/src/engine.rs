@@ -485,16 +485,26 @@ impl Core {
     /// domain can insert it directly).
     #[inline]
     pub(crate) fn push_event(&mut self, at: Time, kind: EventKind) {
-        // Keep the serial fast path a single predicted-not-taken branch;
-        // `kind` is ~100 bytes, so it is inspected by reference and moves
-        // only once, into the queue or the outbox.
-        if let Some(p) = self.partition.as_mut() {
-            if p.probe {
-                p.tally(&kind);
-            } else if let EventKind::Message { to, .. } = &kind {
-                if p.domain_of[*to] != p.domain {
-                    return p.stage(at, kind);
-                }
+        // Keep the serial fast path a single predicted-not-taken branch.
+        if self.partition.is_some() {
+            return self.push_event_partitioned(at, kind);
+        }
+        self.push_event_local(at, kind);
+    }
+
+    /// The detour taken while this engine runs as one partitioned domain
+    /// (or hosts Auto's probe): messages addressed to foreign actors are
+    /// staged in the outbox, everything else falls through to the local
+    /// queue. Out of line so the serial path above stays small; `kind` is
+    /// inspected by reference and moves once, into the queue or the outbox.
+    #[cold]
+    fn push_event_partitioned(&mut self, at: Time, kind: EventKind) {
+        let p = self.partition.as_mut().expect("checked by push_event");
+        if p.probe {
+            p.tally(&kind);
+        } else if let EventKind::Message { to, .. } = &kind {
+            if p.domain_of[*to] != p.domain {
+                return p.stage(at, kind);
             }
         }
         self.push_event_local(at, kind);
