@@ -22,17 +22,13 @@ cargo test --release --manifest-path querybench/Cargo.toml
 echo "==> determinism suite (engine knobs are RunConfig values; A/B tests force both paths)"
 cargo test --quiet -p bench --test determinism
 
-echo "==> golden gate, partitioned engine (Quick goldens must be bit-identical)"
+echo "==> golden gate (Quick goldens must be bit-identical; the partitioned engine"
+echo "    is gated against serial by the determinism suite above)"
 cargo run --release -p bench --bin repro -- --check results/quick
 
-echo "==> golden gate, serial engine (same goldens, single-threaded schedule)"
-cargo run --release -p bench --bin repro -- --serial --check results/quick
-
 echo "==> topology smoke gate (TopoSpec-generated fabrics: 3-site chain plans 3"
-echo "    domains, fat-tree sites cross one WAN cut; both engines, same bits)"
+echo "    domains, fat-tree sites cross one WAN cut)"
 cargo run --release -p bench --bin repro -- --check results/quick \
-    topoA-3site-bw topoB-fattree-alltoall
-cargo run --release -p bench --bin repro -- --serial --check results/quick \
     topoA-3site-bw topoB-fattree-alltoall
 
 echo "==> perf smoke (Quick subset + counters, gated against the checked-in baseline;"

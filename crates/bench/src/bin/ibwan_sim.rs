@@ -7,27 +7,24 @@
 //!                                                  # delay sweep (0..10 ms)
 //! ibwan-sim --example                              # print a sample scenario
 //! ibwan-sim --json scenario.json                   # emit results as JSON
-//! ibwan-sim --serial scenario.json                 # force the serial engine
 //! ibwan-sim --no-coalescing scenario.json          # per-fragment wire path
 //! ibwan-sim --seed N scenario.json                 # offset scenario seeds
 //! ```
 //!
 //! All flags are parsed into one [`RunConfig`] before any scenario runs —
-//! flag order never matters, and `--serial`/`--no-coalescing` are plain
-//! config fields (results are identical either way; timing A/B only).
+//! flag order never matters, and `--no-coalescing` is a plain config field
+//! (results are identical either way; timing A/B only).
 //! Unknown or duplicate flags exit 2, and so does a scenario file that
 //! cannot be read, parsed, or validated (the error names the file and the
 //! offending field).
 
 use ibwan_core::runner;
 use ibwan_core::scenario::{example_scenario, Scenario};
-use ibwan_core::{PartitionMode, RunConfig};
+use ibwan_core::RunConfig;
 
 fn bad_usage(msg: &str) -> ! {
     eprintln!("ibwan-sim: {msg}");
-    eprintln!(
-        "usage: ibwan-sim [--json] [--sweep] [--serial] [--no-coalescing] [--seed N] SCENARIO.json ..."
-    );
+    eprintln!("usage: ibwan-sim [--json] [--sweep] [--no-coalescing] [--seed N] SCENARIO.json ...");
     eprintln!("       ibwan-sim --example   # print a sample scenario file");
     std::process::exit(2);
 }
@@ -59,10 +56,6 @@ fn main() {
                 once(&mut seen, "--sweep");
                 sweep = true;
             }
-            "--serial" => {
-                once(&mut seen, "--serial");
-                cfg.partition = PartitionMode::Off;
-            }
             "--no-coalescing" => {
                 once(&mut seen, "--no-coalescing");
                 cfg.coalescing = false;
@@ -82,7 +75,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: ibwan-sim [--json] [--sweep] [--serial] [--no-coalescing] [--seed N] SCENARIO.json ..."
+                    "usage: ibwan-sim [--json] [--sweep] [--no-coalescing] [--seed N] SCENARIO.json ..."
                 );
                 println!("       ibwan-sim --example   # print a sample scenario file");
                 return;
@@ -91,7 +84,6 @@ fn main() {
             other => files.push(other.to_string()),
         }
     }
-    let cfg = cfg.with_env_aliases();
 
     if example {
         println!("{}", example_scenario().to_json());

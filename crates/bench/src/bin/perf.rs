@@ -1,8 +1,8 @@
 //! `perf` — wall-clock performance harness for the event-engine hot path.
 //!
-//! Times a fixed repro subset (fig5a verbs-RC, fig8a MPI, fig13a NFS) at
-//! Quick and Full fidelity and emits `BENCH_engine.json`, so every PR has a
-//! perf trajectory against the previous baseline.
+//! Times a fixed repro subset (fig5a verbs-RC, fig8a MPI, fig13a NFS, fig12
+//! NAS) at Quick and Full fidelity and emits `BENCH_engine.json`, so every
+//! PR has a perf trajectory against the previous baseline.
 //!
 //! ```text
 //! perf [--quick] [--json PATH] [--baseline PATH] [--repeat N]
@@ -28,7 +28,7 @@
 //! ```
 //!
 //! Every experiment is timed twice through [`ibwan_core::runner::run_one`]:
-//! once on the serial engine (a [`RunConfig`] with `PartitionMode::Off`) and
+//! once on the serial engine (the default [`RunConfig`], `PartitionMode::Off`) and
 //! once with WAN-boundary partitioning forced (`PartitionMode::Force`, one
 //! sweep worker, so every point gets all cores as stealers) — two config
 //! values, no process-global engine state. The serial median is the
@@ -48,10 +48,12 @@ use ibwan_core::{Fidelity, PartitionMode, RunConfig};
 use minijson::{obj, Value};
 use simcore::stats::median;
 
-/// The fixed subset: one verbs, one MPI, one NFS experiment — together they
-/// cover the RC data path, the rendezvous protocol stack, and the RPC/ULP
-/// layers that dominate `repro --full` wall time.
-const SUBSET: [&str; 3] = ["fig5a", "fig8a", "fig13a"];
+/// The fixed subset: one verbs, one MPI, one NFS and one NAS experiment —
+/// together they cover the RC data path, the rendezvous protocol stack, the
+/// RPC/ULP layers, and the deep collective queues (NAS graduates to the
+/// calendar layout and fills its live bucket in same-instant bursts) that
+/// dominate `repro --full` wall time.
+const SUBSET: [&str; 4] = ["fig5a", "fig8a", "fig13a", "fig12"];
 
 struct Timing {
     id: &'static str,
@@ -189,7 +191,6 @@ fn main() {
     for &fidelity in fidelities {
         let serial_cfg = RunConfig {
             fidelity,
-            partition: PartitionMode::Off,
             ..RunConfig::default()
         };
         // One sweep worker, so each forced point gets every core as a
@@ -586,10 +587,7 @@ fn engine_counters() -> simcore::EngineCounters {
     use ibwan_core::TopoSpec;
     use simcore::Dur;
 
-    let cfg = RunConfig {
-        partition: PartitionMode::Off,
-        ..RunConfig::default()
-    };
+    let cfg = RunConfig::default();
     // 8 MiB in 64 KiB messages: enough fragments (~4k) to reach steady
     // state while keeping the probe itself sub-second.
     let msgs = 128;

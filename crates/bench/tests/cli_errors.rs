@@ -40,6 +40,11 @@ fn bad_scenarios_exit_2_with_a_named_error() {
             r#"{ "name": "x", "topology": {}, "workload": { "kind": "nas", "benchmark": "is", "ranks_per_cluster": 6 } }"#,
             "power-of-two",
         ),
+        (
+            "loss-2^32",
+            r#"{ "name": "x", "topology": { "loss_ppm": 4294967296 }, "workload": { "kind": "mpi_latency", "size": 4, "iters": 5 } }"#,
+            "loss_ppm",
+        ),
     ];
     for (name, json, expect) in cases {
         let (code, stderr) = run_on(name, json);

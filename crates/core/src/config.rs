@@ -1,9 +1,9 @@
 //! The explicit run context threaded from the CLI down to the engine.
 //!
 //! A [`RunConfig`] carries every knob that used to live in process-global
-//! mutable state (`set_default_coalescing`, `set_partition_mode`,
-//! `IBWAN_SERIAL`): fidelity, fragment-train coalescing, the partitioned
-//! engine choice, a seed offset, and the sweep worker budget. Binaries parse
+//! mutable state (`set_default_coalescing`, `set_partition_mode`):
+//! fidelity, fragment-train coalescing, the partitioned engine choice, a
+//! seed offset, and the sweep worker budget. Binaries parse
 //! their flags into one config up front, and everything below — registry
 //! entries, `Scenario::run`, the topology helpers, `FabricBuilder` — takes
 //! it (or the [`EngineProfile`] derived from it) as an argument. Flag order
@@ -21,7 +21,7 @@ pub struct RunConfig {
     /// Fragment-train coalescing on the wire path (`--no-coalescing` clears
     /// it). A/B-invisible in every virtual-time observable.
     pub coalescing: bool,
-    /// Serial vs partitioned engine (`--serial` pins `Off`). Also
+    /// Serial (the default) vs forced-partitioned engine. Also
     /// A/B-invisible.
     pub partition: PartitionMode,
     /// Additive offset applied to every experiment's canonical seed via
@@ -38,7 +38,7 @@ impl Default for RunConfig {
         RunConfig {
             fidelity: Fidelity::Quick,
             coalescing: true,
-            partition: PartitionMode::Auto,
+            partition: PartitionMode::Off,
             seed: 0,
             workers: None,
         }
@@ -67,17 +67,6 @@ impl RunConfig {
     /// seeds (and therefore the golden outputs) are preserved exactly.
     pub fn seed_for(&self, canonical: u64) -> u64 {
         canonical.wrapping_add(self.seed)
-    }
-
-    /// Apply the `IBWAN_SERIAL=1` environment alias: the env-var twin of
-    /// `--serial`, for harnesses that cannot pass flags through. Called by
-    /// binaries once at startup, never by the library — the library layer
-    /// only ever sees the resulting config.
-    pub fn with_env_aliases(mut self) -> Self {
-        if std::env::var_os("IBWAN_SERIAL").is_some_and(|v| v == "1") {
-            self.partition = PartitionMode::Off;
-        }
-        self
     }
 
     /// Canonical one-line description, the digest input. Excludes `workers`:
@@ -111,7 +100,6 @@ impl RunConfig {
 /// Stable lowercase name for a partition mode (provenance / describe).
 pub fn partition_name(mode: PartitionMode) -> &'static str {
     match mode {
-        PartitionMode::Auto => "auto",
         PartitionMode::Off => "off",
         PartitionMode::Force => "force",
     }
@@ -136,8 +124,8 @@ mod tests {
     #[test]
     fn digest_distinguishes_configs_but_not_workers() {
         let base = RunConfig::default();
-        let serial = RunConfig {
-            partition: PartitionMode::Off,
+        let forced = RunConfig {
+            partition: PartitionMode::Force,
             ..base
         };
         let nocoal = RunConfig {
@@ -148,9 +136,9 @@ mod tests {
             workers: Some(3),
             ..base
         };
-        assert_ne!(base.digest(), serial.digest());
+        assert_ne!(base.digest(), forced.digest());
         assert_ne!(base.digest(), nocoal.digest());
-        assert_ne!(serial.digest(), nocoal.digest());
+        assert_ne!(forced.digest(), nocoal.digest());
         assert_eq!(
             base.digest(),
             budgeted.digest(),

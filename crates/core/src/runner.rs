@@ -418,7 +418,7 @@ mod tests {
         assert_eq!(out.id, "table1");
         assert_eq!(out.provenance.config_digest, cfg.digest());
         assert_eq!(out.provenance.fidelity, "quick");
-        assert_eq!(out.provenance.engine_mode, "auto");
+        assert_eq!(out.provenance.engine_mode, "off");
         let json = stamped_value(&out.figure, &out.provenance).to_pretty();
         assert!(json.contains("\"provenance\""));
         assert!(json.contains("\"config_digest\""));

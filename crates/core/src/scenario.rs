@@ -255,16 +255,9 @@ impl Workload {
 
     /// Parse the tagged JSON layout produced by [`Workload::to_value`].
     pub fn from_value(v: &minijson::Value) -> Result<Workload, String> {
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(|f| f.as_u64())
-                .ok_or_else(|| format!("workload: missing or non-integer field {key:?}"))
-        };
-        let num_or = |key: &str, default: u64| match v.get(key) {
-            None => Ok(default),
-            Some(f) => f
-                .as_u64()
-                .ok_or_else(|| format!("workload: bad field {key:?}")),
+        let ints = Ints {
+            ctx: "workload",
+            obj: v,
         };
         let text = |key: &str| {
             v.get(key)
@@ -285,50 +278,50 @@ impl Workload {
         match kind {
             "verbs_latency" => Ok(Workload::VerbsLatency {
                 mode: text("mode")?,
-                size: num("size")? as u32,
-                iters: num("iters")? as u32,
+                size: ints.num("size")?,
+                iters: ints.num("iters")?,
             }),
             "verbs_bandwidth" => Ok(Workload::VerbsBandwidth {
                 transport: text("transport")?,
-                size: num("size")? as u32,
-                iters: num("iters")?,
+                size: ints.num("size")?,
+                iters: ints.num("iters")?,
             }),
             "ipoib" => Ok(Workload::Ipoib {
                 mode: text("mode")?,
-                mtu: num("mtu")? as u32,
-                window: num("window")?,
-                streams: num("streams")? as usize,
-                bytes_per_stream: num("bytes_per_stream")?,
+                mtu: ints.num("mtu")?,
+                window: ints.num("window")?,
+                streams: ints.num("streams")?,
+                bytes_per_stream: ints.num("bytes_per_stream")?,
             }),
             "mpi_latency" => Ok(Workload::MpiLatency {
-                size: num("size")? as u32,
-                iters: num("iters")? as u32,
+                size: ints.num("size")?,
+                iters: ints.num("iters")?,
             }),
             "mpi_bandwidth" => Ok(Workload::MpiBandwidth {
-                size: num("size")? as u32,
-                window: num("window")? as u32,
-                iters: num("iters")? as u32,
-                eager_threshold: num_or("eager_threshold", 0)? as u32,
+                size: ints.num("size")?,
+                window: ints.num("window")?,
+                iters: ints.num("iters")?,
+                eager_threshold: ints.num_or("eager_threshold", 0)?,
                 rndv_protocol: match v.get("rndv_protocol") {
                     None => String::new(),
                     Some(p) => p.as_str().ok_or("workload: bad rndv_protocol")?.to_string(),
                 },
             }),
             "mpi_bcast" => Ok(Workload::MpiBcast {
-                ranks_per_cluster: num("ranks_per_cluster")? as usize,
-                size: num("size")? as u32,
-                iters: num("iters")? as u32,
+                ranks_per_cluster: ints.num("ranks_per_cluster")?,
+                size: ints.num("size")?,
+                iters: ints.num("iters")?,
                 hierarchical: flag("hierarchical")?,
             }),
             "message_rate" => Ok(Workload::MessageRate {
-                pairs: num("pairs")? as usize,
-                size: num("size")? as u32,
-                window: num("window")? as u32,
-                iters: num("iters")? as u32,
+                pairs: ints.num("pairs")?,
+                size: ints.num("size")?,
+                window: ints.num("window")?,
+                iters: ints.num("iters")?,
             }),
             "nas" => {
                 let benchmark = text("benchmark")?;
-                let ranks_per_cluster = num("ranks_per_cluster")? as usize;
+                let ranks_per_cluster = ints.num("ranks_per_cluster")?;
                 check_nas_ranks(nas_kernel(&benchmark)?, ranks_per_cluster)?;
                 Ok(Workload::Nas {
                     benchmark,
@@ -336,19 +329,57 @@ impl Workload {
                 })
             }
             "mpi_pattern" => Ok(Workload::MpiPattern {
-                ranks_per_cluster: num("ranks_per_cluster")? as usize,
+                ranks_per_cluster: ints.num("ranks_per_cluster")?,
                 spec: mpisim::patterns::Pattern::from_value(
                     v.get("spec").ok_or("workload: missing \"spec\"")?,
                 )?,
             }),
             "nfs" => Ok(Workload::Nfs {
                 transport: text("transport")?,
-                threads: num("threads")? as usize,
-                file_mib: num("file_mib")?,
+                threads: ints.num("threads")?,
+                file_mib: ints.num("file_mib")?,
                 write: flag("write")?,
             }),
             other => Err(format!("unknown workload kind {other:?}")),
         }
+    }
+}
+
+/// The integer fields of one scenario JSON object, each narrowed to the
+/// type it is stored in. Errors name the object (`ctx`) and the field: a
+/// value too wide for its field is rejected, never wrapped to a small one
+/// (`"size": 4294967722` is not a 426-byte message).
+struct Ints<'a> {
+    ctx: &'static str,
+    obj: &'a minijson::Value,
+}
+
+impl Ints<'_> {
+    /// A required field.
+    fn num<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.field(key, None)
+    }
+
+    /// An optional field, `default` when absent.
+    fn num_or<T: TryFrom<u64>>(&self, key: &str, default: u64) -> Result<T, String> {
+        self.field(key, Some(default))
+    }
+
+    fn field<T: TryFrom<u64>>(&self, key: &str, default: Option<u64>) -> Result<T, String> {
+        let ctx = self.ctx;
+        let n = match (self.obj.get(key), default) {
+            (None, Some(d)) => d,
+            (None, None) => return Err(format!("{ctx}: missing field {key:?}")),
+            (Some(f), _) => f
+                .as_u64()
+                .ok_or_else(|| format!("{ctx}: field {key:?} is not a non-negative integer"))?,
+        };
+        T::try_from(n).map_err(|_| {
+            format!(
+                "{ctx}: field {key:?} out of range: {n} does not fit in {}",
+                std::any::type_name::<T>()
+            )
+        })
     }
 }
 
@@ -445,18 +476,20 @@ impl Scenario {
         let topo = v
             .get("topology")
             .ok_or_else(|| "scenario: missing \"topology\"".to_string())?;
-        let opt_u64 = |obj: &minijson::Value, key: &str| -> Result<u64, String> {
-            match obj.get(key) {
-                None => Ok(0),
-                Some(f) => f
-                    .as_u64()
-                    .ok_or_else(|| format!("scenario: bad field {key:?}")),
-            }
+        let topo = Ints {
+            ctx: "scenario",
+            obj: topo,
         };
         let topology = Topology {
-            delay_us: opt_u64(topo, "delay_us")?,
-            loss_ppm: opt_u64(topo, "loss_ppm")? as u32,
+            delay_us: topo.num_or("delay_us", 0)?,
+            loss_ppm: topo.num_or("loss_ppm", 0)?,
         };
+        if topology.loss_ppm > 1_000_000 {
+            return Err(format!(
+                "scenario: field \"loss_ppm\" out of range: {} exceeds 1000000 (certain loss)",
+                topology.loss_ppm
+            ));
+        }
         let workload = Workload::from_value(
             v.get("workload")
                 .ok_or_else(|| "scenario: missing \"workload\"".to_string())?,
@@ -491,11 +524,9 @@ impl Scenario {
     ///
     /// The config supplies the engine profile: each `Fabric::run` consults
     /// the domain plan its builder computed and the config's
-    /// [`PartitionMode`], so WAN scenarios may execute on the partitioned
-    /// engine while LAN scenarios stay serial. Results are identical either
-    /// way (golden A/B tests in `bench`); pass a config with
-    /// `PartitionMode::Off` for apples-to-apples timing comparisons
-    /// (`repro --serial`, `perf`'s serial column).
+    /// [`PartitionMode`], so under `Force` WAN scenarios execute on the
+    /// partitioned engine while LAN scenarios stay serial. Results are
+    /// identical either way (golden A/B tests in `bench`).
     ///
     /// [`PartitionMode`]: ibfabric::fabric::PartitionMode
     pub fn run(&self, cfg: &RunConfig) -> ScenarioResult {
@@ -1019,6 +1050,15 @@ mod tests {
                 r#"{ "kind": "mpi_latency", "size": -4, "iters": 5 }"#,
                 "size",
             ),
+            // Too wide for a u32 field: 2^32 + 426 must not wrap to 426.
+            (
+                r#"{ "kind": "mpi_latency", "size": 4294967722, "iters": 5 }"#,
+                "\"size\" out of range",
+            ),
+            (
+                r#"{ "kind": "mpi_bandwidth", "size": 4, "window": 8, "iters": 5, "eager_threshold": 4294967296 }"#,
+                "\"eager_threshold\" out of range",
+            ),
             // mpi_pattern without its spec.
             (
                 r#"{ "kind": "mpi_pattern", "ranks_per_cluster": 4 }"#,
@@ -1088,6 +1128,20 @@ mod tests {
             .unwrap_err()
             .contains("power-of-two"));
         assert!(Scenario::from_json("not json at all").is_err());
+        // Loss is a probability in parts per million: 2^32 ppm must not wrap
+        // to zero loss, and more than a million ppm means nothing.
+        for loss in ["4294967296", "1000001"] {
+            let lossy = format!(
+                r#"{{ "name": "x", "topology": {{ "loss_ppm": {loss} }}, "workload": {{ "kind": "mpi_latency", "size": 4, "iters": 5 }} }}"#
+            );
+            let err = Scenario::from_json(&lossy).unwrap_err();
+            assert!(err.contains("\"loss_ppm\" out of range"), "{loss}: {err}");
+        }
+        let certain = r#"{ "name": "x", "topology": { "loss_ppm": 1000000 }, "workload": { "kind": "mpi_latency", "size": 4, "iters": 5 } }"#;
+        assert_eq!(
+            Scenario::from_json(certain).unwrap().topology.loss_ppm,
+            1_000_000
+        );
     }
 
     #[test]

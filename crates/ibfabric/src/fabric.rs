@@ -19,18 +19,15 @@ use std::collections::VecDeque;
 
 /// How `Fabric::run` chooses between the serial and the partitioned engine.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum PartitionMode {
-    /// Partition when the topology splits at WAN boundaries, the lookahead
-    /// window is wide enough to amortize synchronization, and spare cores
-    /// exist (after subtracting sweep workers). The default.
-    Auto = 0,
-    /// Always run serially (`repro --serial`, `IBWAN_SERIAL=1`).
-    Off = 1,
+    /// Always run serially. The default: with the calendar queue's live
+    /// bucket kept sorted, the serial engine beats a partitioned run on
+    /// every query class measured (DESIGN.md §9).
+    Off,
     /// Partition whenever a domain plan exists, regardless of core count or
     /// window width — used by A/B determinism tests and the perf harness's
     /// parallel column.
-    Force = 2,
+    Force,
 }
 
 /// Engine execution knobs carried by every fabric, set at build time and
@@ -53,21 +50,12 @@ impl Default for EngineProfile {
     fn default() -> Self {
         EngineProfile {
             coalescing: true,
-            partition: PartitionMode::Auto,
+            partition: PartitionMode::Off,
         }
     }
 }
 
 impl EngineProfile {
-    /// The default profile with the partitioned engine pinned off
-    /// (`repro --serial`).
-    pub fn serial() -> Self {
-        EngineProfile {
-            partition: PartitionMode::Off,
-            ..EngineProfile::default()
-        }
-    }
-
     /// The default profile with partitioning forced wherever a domain plan
     /// exists (A/B harnesses, the perf parallel column).
     pub fn forced() -> Self {
@@ -86,57 +74,6 @@ impl EngineProfile {
         }
     }
 }
-
-/// Auto mode only partitions when the window is at least this wide: below
-/// ~100 µs of lookahead the per-round barrier cost eats the win on typical
-/// intra-cluster event densities (the paper's interesting WAN regime is
-/// 1–10 ms anyway).
-pub const AUTO_MIN_LOOKAHEAD: Dur = Dur::from_us(100);
-
-/// How many events Auto's density probe executes serially before deciding
-/// serial vs. partitioned. Large enough to see past the time-zero startup
-/// burst into steady-state traffic, small enough to be free (a full figure
-/// run is millions of events).
-pub const AUTO_PROBE_EVENTS: u64 = 4096;
-
-/// If the probed prefix never advanced virtual time (everything happened in
-/// the time-zero startup burst), the probe extends itself by another
-/// [`AUTO_PROBE_EVENTS`] slice up to this many times before giving up.
-/// Density is events per unit virtual time: with zero elapsed time it is
-/// unmeasurable, and committing blind used to partition Quick-fidelity runs
-/// whose tiny post-burst workload could never amortize the windows
-/// (parallel_speedup ≈ 0.9 on two domains). An unmeasurable prefix after
-/// all slices now declines partitioning instead.
-pub const AUTO_PROBE_SLICES: u32 = 4;
-
-/// Auto partitions only when at most this fraction of probed events crossed
-/// the domain cut: staging, delivery, and wire-tail bookkeeping tax every
-/// crossing. Point-to-point WAN streams (message rate, MPI bandwidth, IPoIB,
-/// NFS; per-fragment or coalesced) cross on 1 event in 4–8 (probed share
-/// 0.13–0.25) and ran 4–25% slower partitioned than serial per query class
-/// on 2 cores; NAS and the ring/halo patterns cross on under 1 in 8 and won
-/// up to 1.5× (measured over the `querybench` streams, best of 3 per query).
-const AUTO_MAX_CROSS_SHARE: f64 = 0.13;
-
-/// Auto partitions only when the probed prefix averaged at least this many
-/// events per domain per minimum-lookahead window — the work a window must
-/// hold for batching to amortize its synchronization. Calibrated for the
-/// coalesced event stream: one dispatched event costs ~100 ns while a
-/// window handoff between stealers costs a few µs, so a window needs tens
-/// of events before partitioning pays. (ACK-run coalescing thinned
-/// message-rate workloads like fig13a to ~16 events/window — measured
-/// parallel speedup 0.99, i.e. a wash — which this floor now declines.)
-const AUTO_MIN_WINDOW_EVENTS: f64 = 24.0;
-
-/// Auto partitions only when the busiest domain held at most this share of
-/// the probed events. Amdahl's bound: a partitioned run can never beat the
-/// busiest domain, so at 65% the best case is a 1.54× win. Lopsided cuts
-/// lost in practice: broadcasts whose root cluster held 65–67% of the
-/// probed events ran up to 1.4× slower partitioned, and coalesced workloads
-/// whose events concentrate on one side of the cut (e.g. an NFS server
-/// fanning RDMA writes to thin clients) land well above this and run
-/// serially.
-const AUTO_MAX_DOMAIN_SHARE: f64 = 0.65;
 
 /// Events dispatched per domain index are folded into this many slots.
 const DOMAIN_TALLY_SLOTS: usize = 8;
@@ -332,7 +269,7 @@ pub struct FabricBuilder {
 
 impl FabricBuilder {
     /// Start building with a deterministic seed and the default
-    /// [`EngineProfile`] (coalescing on, auto partitioning).
+    /// [`EngineProfile`] (coalescing on, serial engine).
     pub fn new(seed: u64) -> Self {
         FabricBuilder::with_profile(seed, EngineProfile::default())
     }
@@ -715,146 +652,26 @@ impl Fabric {
         self.last_domain_report.as_ref()
     }
 
-    /// Whether `run` would consider the partitioned path right now, given
-    /// the plan, the fabric's build-time [`PartitionMode`], and (in auto
-    /// mode) the lookahead width and spare-core budget. Auto additionally
-    /// runs a density probe inside [`Fabric::run`] before committing.
+    /// Whether `run` takes the partitioned path: a domain plan exists, the
+    /// fabric was built with [`PartitionMode::Force`], and no trace is
+    /// recording (one bounded trace cannot span two domains).
     fn should_partition(&self) -> bool {
-        let Some(plan) = self.plan.as_ref() else {
-            return false;
-        };
-        match self.partition {
-            PartitionMode::Off => false,
-            PartitionMode::Force => self.engine.trace().is_none(),
-            PartitionMode::Auto => {
-                if self.engine.trace().is_some() {
-                    return false; // one bounded trace can't span two threads
-                }
-                if plan.min_lookahead() < Some(AUTO_MIN_LOOKAHEAD) {
-                    return false; // window too narrow to amortize handoffs
-                }
-                // Thread budget: a spare core per domain after sweep
-                // workers (or the per-job allowance a pool granted us); on a
-                // 1-core box Auto always runs serially. `run` then keeps
-                // Auto's domains on the calling thread.
-                domain::spawn_budget() >= plan.domains
-            }
-        }
-    }
-
-    /// Auto's density probe: run a short serial prefix with cross-domain
-    /// tallying enabled, then decide whether the partitioned engine can win.
-    /// The prefix is byte-for-byte the serial simulation, so the probe never
-    /// perturbs results regardless of the verdict. Returns `true` when the
-    /// remainder should run partitioned.
-    ///
-    /// The verdict needs three things to hold (all computed over the probed
-    /// prefix, from `EngineCounters` plus the probe tally):
-    ///
-    /// * **cross-domain share** `cross / events` at most
-    ///   [`AUTO_MAX_CROSS_SHARE`] — domains must mostly mind their own
-    ///   business, or staging overhead swamps the parallelism;
-    /// * **load balance**: the busiest domain scheduled at most
-    ///   [`AUTO_MAX_DOMAIN_SHARE`] of the probed events — Amdahl's law caps
-    ///   the win at the busiest domain's share, so a lopsided cut (one hot
-    ///   server, thin clients) cannot pay for its barriers;
-    /// * **event density** of at least [`AUTO_MIN_WINDOW_EVENTS`] events per
-    ///   domain per minimum-lookahead window — otherwise each window holds
-    ///   too little work to amortize its synchronization. A prefix that
-    ///   never advanced virtual time has *unmeasurable* density: the probe
-    ///   extends itself (up to [`AUTO_PROBE_SLICES`] slices) until time
-    ///   moves, and declines partitioning if it never does — committing
-    ///   blind on the startup burst is how Quick-fidelity runs used to eat
-    ///   a 0.9× "speedup".
-    fn auto_probe(&mut self) -> bool {
-        let plan = self.plan.as_ref().expect("caller checked plan");
-        let events_before = self.engine.counters().events_processed;
-        let time_before = self.engine.now();
-        let saved_limit = self.engine.event_limit();
-
-        self.engine.begin_partition_probe(&plan.domain_of);
-        let mut exhausted = false;
-        for _ in 0..AUTO_PROBE_SLICES {
-            let so_far = self.engine.counters().events_processed;
-            self.engine
-                .set_event_limit(saved_limit.min(so_far.saturating_add(AUTO_PROBE_EVENTS)));
-            self.engine.run();
-            if self.engine.next_event_time().is_none() || self.engine.stopped() {
-                exhausted = true; // nothing left to parallelize
-                break;
-            }
-            if self.engine.now() > time_before {
-                break; // virtual time moved: density is measurable
-            }
-        }
-        let tally = self.engine.end_partition_probe();
-        self.engine.set_event_limit(saved_limit);
-
-        if exhausted {
-            return false;
-        }
-        let events = self.engine.counters().events_processed - events_before;
-        if events == 0 {
-            return false;
-        }
-        let cross_share = tally.cross_events as f64 / events as f64;
-        if std::env::var("IBWAN_PROBE_DEBUG").is_ok() {
-            let elapsed = self.engine.now().since(time_before).as_ns();
-            eprintln!(
-                "auto_probe: events={events} cross_share={cross_share:.3} busiest={:.3} \
-                 load={:?} elapsed_ns={elapsed} lookahead={:?}",
-                tally.busiest_share(),
-                tally.load,
-                plan.min_lookahead(),
-            );
-        }
-        if cross_share > AUTO_MAX_CROSS_SHARE {
-            return false;
-        }
-        if tally.busiest_share() > AUTO_MAX_DOMAIN_SHARE {
-            return false;
-        }
-        let elapsed_ns = self.engine.now().since(time_before).as_ns();
-        if elapsed_ns == 0 {
-            // Even the extended probe never left the startup burst: density
-            // is unmeasurable, so decline conservatively — a workload this
-            // front-loaded has nothing for extra cores to overlap.
-            return false;
-        }
-        let window_ns = plan
-            .min_lookahead()
-            .expect("plan with no cut edges is not runnable")
-            .as_ns();
-        let per_window_per_domain =
-            events as f64 * window_ns as f64 / elapsed_ns as f64 / plan.domains as f64;
-        per_window_per_domain >= AUTO_MIN_WINDOW_EVENTS
+        self.plan.is_some()
+            && self.partition == PartitionMode::Force
+            && self.engine.trace().is_none()
     }
 
     /// Run the simulation to quiescence; returns final virtual time.
     ///
     /// Chooses between the serial event loop and the partitioned engine
-    /// ([`simcore::domain::run_partitioned`]) per [`Fabric::should_partition`];
-    /// in [`PartitionMode::Auto`] a density probe ([`Fabric::auto_probe`])
-    /// additionally vets the workload over a short serial prefix. The serial
-    /// and partitioned paths are bit-identical in every virtual-time
-    /// observable, so the choice is invisible to experiments (enforced by
-    /// the A/B determinism suite in `bench/tests/determinism.rs`).
+    /// ([`simcore::domain::run_partitioned`]) per [`Fabric::should_partition`].
+    /// The serial and partitioned paths are bit-identical in every
+    /// virtual-time observable, so the choice is invisible to experiments
+    /// (enforced by the A/B determinism suite in `bench/tests/determinism.rs`).
     pub fn run(&mut self) -> Time {
         let before = self.engine.counters();
-        let mut partitioned = self.should_partition();
-        if partitioned && self.partition == PartitionMode::Auto && !self.auto_probe() {
-            partitioned = false;
-        }
-        let t = if partitioned {
+        let t = if self.should_partition() {
             let plan = self.plan.as_ref().expect("should_partition checked plan");
-            // Auto runs every window on the calling thread: what the probe
-            // accepts wins on per-domain queues, not on overlap. Measured on
-            // 2 cores over one seed's mpi-apps stream, letting those runs
-            // wake helpers cost 1.10× serial on the partitioned queries
-            // (helpers woken in 216 of 222 runs) against 0.83× without.
-            // Force keeps the whole thread budget.
-            let _alone =
-                (self.partition == PartitionMode::Auto).then(|| domain::set_thread_allowance(1));
             let report = domain::run_partitioned(&mut self.engine, plan);
             RUN_TALLY.with(|tally| {
                 let mut tally = tally.borrow_mut();

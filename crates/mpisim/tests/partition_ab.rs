@@ -40,7 +40,7 @@ fn bw(delay_us: u64, size: u32, profile: EngineProfile) -> f64 {
 #[test]
 fn osu_bw_matches_serial_across_delays() {
     for d in [0, 10, 100, 1000, 10000] {
-        let serial = bw(d, 4096, EngineProfile::serial());
+        let serial = bw(d, 4096, EngineProfile::default());
         for (i, partitioned) in at_every_stealer_count(|_| bw(d, 4096, EngineProfile::forced()))
             .into_iter()
             .enumerate()
@@ -82,7 +82,7 @@ fn master_worker(delay_us: u64, result_bytes: u32, profile: EngineProfile) -> (u
 fn master_worker_rendezvous_results_match_serial() {
     for result_bytes in [16 << 10, 64 << 10] {
         for d in [0, 1000] {
-            let serial = master_worker(d, result_bytes, EngineProfile::serial());
+            let serial = master_worker(d, result_bytes, EngineProfile::default());
             assert!(serial.0 > 0, "pattern must take time");
             for (i, partitioned) in
                 at_every_stealer_count(|_| master_worker(d, result_bytes, EngineProfile::forced()))
@@ -107,7 +107,7 @@ fn osu_bw_rendezvous_sizes_match_serial() {
         (10000, 4 << 20, 2),
     ] {
         let spec = wan_pair_with(Dur::from_us(d), MpiConfig::default())
-            .with_profile(EngineProfile::serial());
+            .with_profile(EngineProfile::default());
         let serial = osu_bw(spec, size, window, 3);
         let legs = at_every_stealer_count(|_| {
             let spec = wan_pair_with(Dur::from_us(d), MpiConfig::default())

@@ -607,12 +607,12 @@ mod tests {
         assert!(!plan.tail_safe_dir(da, db) && !plan.tail_safe_dir(db, da));
     }
 
-    /// `PartitionMode::Auto`: serial on one core; with cores available the
-    /// density probe decides — with identical observables either way.
+    /// A per-fragment RC stream over the WAN: forcing the partitioned
+    /// engine changes no observable in the fabric report (execution-strategy
+    /// fields excluded by its `PartialEq`).
     #[test]
-    fn auto_mode_follows_cores_and_density() {
-        use ibfabric::fabric::{EngineProfile, PartitionMode};
-        use simcore::domain::set_test_assume_cores;
+    fn forced_partitioning_keeps_stream_observables() {
+        use ibfabric::fabric::EngineProfile;
 
         fn bw_run(profile: EngineProfile) -> (ibfabric::fabric::FabricReport, bool) {
             let (mut f, a, b) = cluster_pair_with(
@@ -628,39 +628,18 @@ mod tests {
             (f.report(), f.domain_report().is_some())
         }
 
-        // Super-trains plus completion runs have thinned a lone coalesced RC
-        // stream below the probe's sync-amortization floor, so Auto now
-        // (correctly) declines it — `bench/tests/auto_gate.rs` pins that.
-        // The density-commit half of this test therefore drives the dense
-        // per-fragment schedule, with messages long enough (128 fragments)
-        // that wire hops dominate and the cut's cross-domain share stays
-        // under the probe's ceiling.
-        let profile = EngineProfile {
+        let serial = EngineProfile {
             coalescing: false,
             ..EngineProfile::default()
         };
-
-        // One core: Auto must stay serial — it can never beat serial there.
-        set_test_assume_cores(1);
-        let (rep_serial, par) = bw_run(profile);
-        assert!(!par, "Auto on 1 core must run serially");
-
-        // Plenty of cores: the core gate passes and the probe decides. A
-        // point-to-point stream crosses the cut on about one event in five,
-        // above the probe's cross-share ceiling, so it stays serial (the
-        // accepting side is pinned on NAS in `bench/tests/auto_gate.rs`);
-        // Force still partitions it, and every observable (the report minus
-        // execution-strategy fields) is unchanged either way.
-        set_test_assume_cores(8);
-        let (rep_auto, par_auto) = bw_run(profile);
-        let (rep_forced, par_forced) = bw_run(EngineProfile {
-            partition: PartitionMode::Force,
-            ..profile
-        });
-        set_test_assume_cores(0);
-        assert!(!par_auto, "Auto must decline a cross-heavy stream");
+        let forced = EngineProfile {
+            coalescing: false,
+            ..EngineProfile::forced()
+        };
+        let (rep_serial, par_serial) = bw_run(serial);
+        let (rep_forced, par_forced) = bw_run(forced);
+        assert!(!par_serial, "the default profile must run serially");
         assert!(par_forced, "Force with a plan must partition");
-        assert_eq!(rep_serial, rep_auto, "Auto must not change observables");
         assert_eq!(
             rep_serial, rep_forced,
             "partitioning must not change observables"
@@ -720,7 +699,7 @@ mod tests {
             (lat, end, report, partitioned)
         }
 
-        let (lat_s, end_s, rep_s, par_s) = run_mode(EngineProfile::serial());
+        let (lat_s, end_s, rep_s, par_s) = run_mode(EngineProfile::default());
         let (lat_p, end_p, rep_p, par_p) = run_mode(EngineProfile::forced());
         assert!(!par_s, "Off must run serially");
         assert!(par_p, "Force with a plan must partition");

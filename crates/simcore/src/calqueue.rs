@@ -27,12 +27,24 @@
 //!   every pop. The fallback is never approximated away; it is counted in
 //!   [`EngineCounters::cal_fallback_hits`].
 //!
+//! ## The live bucket stays sorted
+//!
+//! The cursor bucket is sorted descending (minimum at the tail) when the
+//! cursor arrives, and every later push into it inserts in place
+//! (`partition_point` + `Vec::insert`), so `pop`, the bounded pop and
+//! `peek_time` read its minimum off the tail without re-sorting. Other
+//! buckets stay unsorted until the cursor reaches them. Collective traffic
+//! is why: a same-instant burst fills the live bucket one push at a time,
+//! and re-sorting the whole bucket on the next pop made each such push
+//! `O(n log n)` — NAS FT at 8+8 ranks visits over two hundred buckets
+//! holding 128 or more events.
+//!
 //! ## Tuning
 //!
-//! Bucket width and count are picked per run from a short warmup probe,
-//! mirroring the `PartitionMode::Auto` density probe: the queue runs as a
-//! plain binary heap for the first [`WARMUP_POPS`] pops, measures the mean
-//! inter-pop virtual-time gap and its own queue-length high-water mark (the
+//! Bucket width and count are picked per run from a short warmup probe:
+//! the queue runs as a plain binary heap for the first [`WARMUP_POPS`]
+//! pops, measures the mean inter-pop virtual-time gap and its own
+//! queue-length high-water mark (the
 //! same signal [`EngineCounters::peak_queue_len`] reports), then migrates to
 //! buckets of width ≈ mean gap with a few buckets per peak resident event.
 //! Graduation also requires a resident population deep enough for buckets to
@@ -48,9 +60,8 @@ use crate::time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Pops observed (as a heap) before committing to a bucket layout. Matches
-/// the Auto density probe's event budget: long enough to see steady state,
-/// short enough to be free.
+/// Pops observed (as a heap) before committing to a bucket layout: long
+/// enough to see steady state, short enough to be free.
 const WARMUP_POPS: u64 = 4096;
 /// Resident-population floor for graduating to buckets. A shallow queue is
 /// the heap's home turf — at `peak < 256` a sift is ≤ 8 comparisons in one
@@ -118,7 +129,8 @@ impl Warmup {
 struct Calendar {
     /// Circular bucket array; bucket `i` holds keys with
     /// `(t / width) & mask == i`. Buckets are unsorted except the cursor
-    /// bucket, which is sorted descending (min at the tail) on arrival.
+    /// bucket, which is sorted descending (min at the tail) on arrival and
+    /// stays sorted: a push into it inserts in place.
     buckets: Vec<Vec<HeapKey>>,
     /// One bit per bucket; lets the cursor skip runs of empty buckets a
     /// word at a time.
@@ -130,6 +142,9 @@ struct Calendar {
     /// Low time edge (ns) of the cursor bucket; always a multiple of
     /// `width`. The horizon covers `[cursor_start, cursor_start + n*width)`.
     cursor_start: u64,
+    /// Whether the cursor bucket is in descending order. Cleared only by
+    /// [`Calendar::reseed`], which parks the cursor on a bucket filled in
+    /// fallback-heap order.
     cursor_sorted: bool,
     /// Keys in `buckets` (the fallback heap holds `EventQueue::len` minus
     /// this many).
@@ -176,12 +191,18 @@ impl Calendar {
             return;
         }
         let idx = ((t / self.width) as usize) & self.mask;
-        self.buckets[idx].push(key);
+        let bucket = &mut self.buckets[idx];
+        if idx == self.cursor && self.cursor_sorted {
+            // Keep the live bucket sorted: a same-instant burst lands here
+            // key after key, and re-sorting the whole bucket on the next pop
+            // made each such push O(n log n).
+            let at = bucket.partition_point(|x| *x > key);
+            bucket.insert(at, key);
+        } else {
+            bucket.push(key);
+        }
         self.occ[idx >> 6] |= 1 << (idx & 63);
         self.bucket_items += 1;
-        if idx == self.cursor {
-            self.cursor_sorted = false;
-        }
     }
 
     /// First occupied bucket at or after `from` in rotation order (rotation
@@ -274,9 +295,8 @@ impl Calendar {
     }
 
     /// Sort the cursor bucket descending so `pop()` is `Vec::pop`. `record`
-    /// is set on first arrival at a bucket (not on re-sorts forced by pushes
-    /// into the live bucket) so the occupancy histogram counts each visited
-    /// bucket once.
+    /// is set on first arrival at a bucket (not on the sort that follows a
+    /// re-seed) so the occupancy histogram counts each visited bucket once.
     fn sort_cursor(&mut self, counters: &mut EngineCounters, record: bool) {
         let b = &mut self.buckets[self.cursor];
         if record {
@@ -531,9 +551,12 @@ mod tests {
 
     /// Drive the same randomized insert/pop workload — duplicate timestamps
     /// with distinct seqs, upper-half arrival seqs, past-cursor and
-    /// beyond-horizon times — through a forced-calendar queue and a plain
-    /// binary heap; the pop sequences must be identical, element for
-    /// element.
+    /// beyond-horizon times, unbounded pops and `pop_before` deadlines —
+    /// through a forced-calendar queue and a plain binary heap; the pop
+    /// sequences must be identical, element for element, and `peek_time`
+    /// must report the heap's minimum after every step. Both the bounded
+    /// pop and `peek_time` read the cursor bucket's tail, so they fail here
+    /// if a push into the live bucket breaks its order.
     fn check_against_heap(seed: u64, width: u64, nbuckets: usize, ops: usize) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut cal = EventQueue::with_calendar(width, nbuckets);
@@ -563,6 +586,26 @@ mod tests {
                 idx += 1;
                 cal.push(key(t, s, idx));
                 heap.push(Reverse(key(t, s, idx)));
+            } else if rng.gen_range(0..3u32) == 0 {
+                // Bounded pop: a deadline just before, at, or past the
+                // minimum, as a partitioned window's horizon falls.
+                let min_ns = heap.peek().expect("model non-empty").0.at().as_ns();
+                let deadline = match rng.gen_range(0..3u32) {
+                    0 => min_ns.saturating_sub(1 + rng.gen_range(0..width)),
+                    1 => min_ns,
+                    _ => min_ns + rng.gen_range(0..width * 4),
+                };
+                let got = cal.pop_before(Time::from_ns(deadline), &mut counters);
+                let want = if min_ns <= deadline {
+                    heap.pop().map(|Reverse(k)| k)
+                } else {
+                    None
+                };
+                assert_eq!(got, want, "bounded pop diverged from the heap");
+                if let Some(k) = got {
+                    assert_eq!(k.idx, want.expect("matched above").idx);
+                    last_pop_ns = k.at().as_ns();
+                }
             } else {
                 let got = cal.pop(&mut counters).expect("model non-empty");
                 let Reverse(want) = heap.pop().expect("model non-empty");
@@ -571,6 +614,11 @@ mod tests {
                 last_pop_ns = got.at().as_ns();
             }
             assert_eq!(cal.len(), heap.len());
+            assert_eq!(
+                cal.peek_time(),
+                heap.peek().map(|Reverse(k)| k.at()),
+                "peek_time diverged from the heap minimum"
+            );
         }
         // Drain: every remaining element must come out in heap order.
         while let Some(Reverse(want)) = heap.pop() {

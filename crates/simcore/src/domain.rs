@@ -394,9 +394,6 @@ fn split_engine(engine: &mut Engine, spec: &DomainSpec, domain_of: &Arc<[u32]>) 
                 domain: d as u32,
                 domain_of: Arc::clone(domain_of),
                 outbox: Vec::new(),
-                probe: false,
-                cross_events: 0,
-                probe_load: Vec::new(),
             });
             e
         })

@@ -183,42 +183,13 @@ pub(crate) struct Staged {
 /// [`crate::domain::run_partitioned`]: which domain this engine is, the
 /// global actor→domain map, and the outbox where messages addressed to
 /// foreign actors are staged instead of entering the local queue.
-///
-/// In *probe* mode (`PartitionMode::Auto`'s pre-run density probe) nothing
-/// detours: cross-domain messages are counted and then queued locally, so a
-/// serial prefix can measure cross-domain traffic share without changing
-/// the simulation at all.
 pub(crate) struct Partition {
     pub(crate) domain: u32,
     pub(crate) domain_of: Arc<[u32]>,
     pub(crate) outbox: Vec<Staged>,
-    /// Count cross-domain messages instead of staging them (Auto probe).
-    pub(crate) probe: bool,
-    /// Messages addressed across the domain cut while probing.
-    pub(crate) cross_events: u64,
-    /// Events scheduled for each domain while probing, indexed by domain id.
-    pub(crate) probe_load: Vec<u64>,
 }
 
 impl Partition {
-    /// Auto's density probe rides on a *serial* engine that hosts all
-    /// domains: a crossing is a sender/receiver domain mismatch. The event
-    /// is only tallied — the caller queues it locally, so the probed prefix
-    /// stays byte-for-byte the serial simulation.
-    #[inline]
-    fn tally(&mut self, kind: &EventKind) {
-        let d = match kind {
-            EventKind::Message { from, to, .. } => {
-                if self.domain_of[*to] != self.domain_of[*from] {
-                    self.cross_events += 1;
-                }
-                self.domain_of[*to]
-            }
-            EventKind::Timer { actor, .. } => self.domain_of[*actor],
-        };
-        self.probe_load[d as usize] += 1;
-    }
-
     /// Stage a message addressed to another domain's actor in the outbox
     /// (its delivery time is already absolute, so the receiving domain can
     /// insert it directly).
@@ -227,30 +198,6 @@ impl Partition {
         if let EventKind::Message { from, to, msg } = kind {
             self.outbox.push(Staged { at, from, to, msg });
         }
-    }
-}
-
-/// What [`Engine::end_partition_probe`] measured over the probed prefix.
-#[derive(Clone, Debug, Default)]
-pub struct ProbeTally {
-    /// Messages scheduled across the domain cut.
-    pub cross_events: u64,
-    /// Events scheduled for each domain, indexed by domain id. Skew here is
-    /// the serial fraction of Amdahl's law: a partitioned run can never beat
-    /// the busiest domain's share of the work.
-    pub load: Vec<u64>,
-}
-
-impl ProbeTally {
-    /// The busiest domain's fraction of all probed events (0.0 when the
-    /// probed prefix scheduled nothing).
-    pub fn busiest_share(&self) -> f64 {
-        let total: u64 = self.load.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let max = self.load.iter().copied().max().unwrap_or(0);
-        max as f64 / total as f64
     }
 }
 
@@ -492,17 +439,14 @@ impl Core {
         self.push_event_local(at, kind);
     }
 
-    /// The detour taken while this engine runs as one partitioned domain
-    /// (or hosts Auto's probe): messages addressed to foreign actors are
-    /// staged in the outbox, everything else falls through to the local
-    /// queue. Out of line so the serial path above stays small; `kind` is
+    /// The detour taken while this engine runs as one partitioned domain:
+    /// messages addressed to foreign actors are staged in the outbox,
+    /// everything else falls through to the local queue. Out of line so the serial path above stays small; `kind` is
     /// inspected by reference and moves once, into the queue or the outbox.
     #[cold]
     fn push_event_partitioned(&mut self, at: Time, kind: EventKind) {
         let p = self.partition.as_mut().expect("checked by push_event");
-        if p.probe {
-            p.tally(&kind);
-        } else if let EventKind::Message { to, .. } = &kind {
+        if let EventKind::Message { to, .. } = &kind {
             if p.domain_of[*to] != p.domain {
                 return p.stage(at, kind);
             }
@@ -736,57 +680,6 @@ impl Engine {
     /// engine stops once the cap is reached).
     pub fn set_event_limit(&mut self, limit: u64) {
         self.event_limit = limit;
-    }
-
-    /// The current event cap (`u64::MAX` when uncapped). Harnesses that
-    /// borrow the limit for a bounded prefix — the Auto density probe — save
-    /// and restore it through this.
-    pub fn event_limit(&self) -> u64 {
-        self.event_limit
-    }
-
-    /// Install a probe-mode partition context: cross-domain `Message` pushes are
-    /// tallied against `domain_of` but still delivered locally, so the
-    /// probed prefix stays byte-for-byte the serial simulation. Used by the
-    /// density probe behind `PartitionMode::Auto`.
-    pub fn begin_partition_probe(&mut self, domain_of: &[u32]) {
-        assert!(
-            self.core.partition.is_none(),
-            "cannot probe an engine that is already partitioned"
-        );
-        assert_eq!(
-            domain_of.len(),
-            self.actors.len(),
-            "probe domain map must cover every actor"
-        );
-        let domains = domain_of.iter().copied().max().map_or(1, |d| d + 1);
-        self.core.partition = Some(Partition {
-            domain: u32::MAX,
-            domain_of: domain_of.into(),
-            outbox: Vec::new(),
-            probe: true,
-            cross_events: 0,
-            probe_load: vec![0; domains as usize],
-        });
-    }
-
-    /// Remove the probe installed by [`Engine::begin_partition_probe`] and
-    /// return what the probed prefix scheduled: cross-domain message count
-    /// plus per-domain event load.
-    pub fn end_partition_probe(&mut self) -> ProbeTally {
-        let p = self
-            .core
-            .partition
-            .take()
-            .expect("no partition probe installed");
-        assert!(
-            p.probe && p.outbox.is_empty(),
-            "ended a partition that was not a probe"
-        );
-        ProbeTally {
-            cross_events: p.cross_events,
-            load: p.probe_load,
-        }
     }
 
     /// Record every dispatched event into a bounded [`Trace`].
